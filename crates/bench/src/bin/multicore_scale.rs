@@ -24,13 +24,29 @@
 //! where only the memory-bound core spends time at VDDL, and each
 //! core's throughput is judged against its solo run.
 //!
+//! Last, the simulator's own host cost: wall-clock nanoseconds per
+//! committed core-instruction at each N, timed serially over every
+//! twin × {baseline, dual-fsm, ladder-fsm@4} at the campaign cell size
+//! (5 000 warm-up / 15 000 measured instructions per core). N = 1 runs
+//! the single-core [`System`]; the core counts interleave cell by cell
+//! so host drift hits each alike, and each cell counts at its fastest
+//! repetition.
+//!
 //! Usage: `cargo run --release -p vsv-bench --bin multicore_scale`
-//! Scale via `VSV_INSTS` / `VSV_WARMUP`; `VSV_MULTICORE_JSON` overrides
-//! the output path (default `BENCH_multicore.json`).
+//! Scale via `VSV_INSTS` / `VSV_WARMUP` (the host-cost probe keeps its
+//! fixed scale and repetitions); `VSV_MULTICORE_JSON` overrides the
+//! output path (default `BENCH_multicore.json`).
 
-use vsv::{default_workers, Comparison, Mode, MulticoreSystem, Sweep, SystemConfig};
-use vsv_bench::{announce_workers, experiment_from_env, results_or_die, rule, CsvSink};
-use vsv_workloads::twin;
+use std::time::Instant;
+
+use vsv::{
+    default_workers, Comparison, Experiment, Mode, MulticoreSystem, PolicySpec, RunResult, Sweep,
+    System, SystemConfig,
+};
+use vsv_bench::{
+    announce_workers, experiment_from_env, git_revision, host_cpus, results_or_die, rule, CsvSink,
+};
+use vsv_workloads::{spec2k_twins, twin, Generator, WorkloadParams};
 
 /// Core counts on the scaling axis (1 = the paper's machine).
 const CORE_COUNTS: [usize; 3] = [1, 2, 4];
@@ -40,6 +56,16 @@ const TWINS: [&str; 3] = ["mcf", "art", "ammp"];
 
 /// Per-ns mode samples retained per core for the correlation probe.
 const TRACE_CAPACITY: usize = 1 << 20;
+
+/// The host-cost probe's scale: the campaign cell size.
+const HOST_COST_SCALE: Experiment = Experiment {
+    warmup_instructions: 5_000,
+    instructions: 15_000,
+};
+
+/// Timed repetitions of every host-cost cell; each cell counts at its
+/// fastest.
+const HOST_COST_REPS: usize = 5;
 
 /// One (twin, cores) cell: chip-wide dual-fsm vs. the equally
 /// contended baseline.
@@ -126,6 +152,39 @@ struct Fairness {
     fairness_index: f64,
 }
 
+/// The simulator's host cost at one core count.
+#[derive(Debug, Clone, serde::Serialize)]
+struct HostCost {
+    /// Core count (1 = the single-core `System`).
+    cores: usize,
+    /// Host wall ns per committed core-instruction: every cell's
+    /// fastest measured window, summed, over the summed instructions.
+    ns_per_core_inst: f64,
+    /// The same ratio for each repetition alone (the spread).
+    per_repetition: Vec<f64>,
+    /// `ns_per_core_inst` over the single-core figure.
+    vs_single_core: f64,
+}
+
+/// Host cost per core-instruction across the core counts.
+#[derive(Debug, Clone, serde::Serialize)]
+struct HostCostReport {
+    /// CPUs of the measuring host.
+    host_cpus: usize,
+    /// `git rev-parse HEAD` of the measured build.
+    git_revision: String,
+    /// Timed repetitions of the whole grid.
+    repetitions: usize,
+    /// Warm-up instructions per core (untimed).
+    warmup_per_run: u64,
+    /// Measured instructions per core (timed).
+    instructions_per_run: u64,
+    /// Cells per core count: every twin × three policies.
+    cells: usize,
+    /// One entry per core count.
+    costs: Vec<HostCost>,
+}
+
 /// The emitted report.
 #[derive(Debug, Clone, serde::Serialize)]
 struct Report {
@@ -146,6 +205,8 @@ struct Report {
     /// True when every (twin, cores) cell saves chip-wide power
     /// against its equally contended baseline — the CI gate.
     chip_saving_positive_everywhere: bool,
+    /// The simulator's host cost per core-instruction at each N.
+    host_cost: HostCostReport,
 }
 
 /// Settled-low residency of one mode-stats vector, in percent.
@@ -155,6 +216,84 @@ fn low_pct(mode: &vsv::ModeStats) -> f64 {
         return 0.0;
     }
     mode.ns_in_mode[Mode::Low.index()] as f64 * 100.0 / total as f64
+}
+
+/// Warms one cell up untimed, then times its measured window: host
+/// wall ns and the window's result. `cores == 1` runs the single-core
+/// [`System`], the runner's path for one core.
+fn timed_window(params: &WorkloadParams, cfg: SystemConfig) -> (u64, RunResult) {
+    let e = HOST_COST_SCALE;
+    let (start, result) = if cfg.cores == 1 {
+        let mut sys = System::try_new(cfg, Generator::new(*params)).expect("valid config");
+        sys.try_warm_up(e.warmup_instructions).expect("warm-up");
+        let start = Instant::now();
+        (start, sys.try_run(e.instructions))
+    } else {
+        let mut chip = MulticoreSystem::try_new(cfg, params).expect("valid config");
+        chip.try_warm_up(e.warmup_instructions).expect("warm-up");
+        let start = Instant::now();
+        (start, chip.try_run(e.instructions))
+    };
+    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    (ns, result.expect("measured window"))
+}
+
+/// Times every twin × {baseline, dual-fsm, ladder-fsm@4} cell at each
+/// core count, [`HOST_COST_REPS`] times over, on this thread.
+fn measure_host_cost() -> HostCostReport {
+    let reps = HOST_COST_REPS;
+    let policies = [
+        SystemConfig::baseline(),
+        SystemConfig::vsv_with_fsms(),
+        SystemConfig::with_policy(PolicySpec::LadderFsm).with_ladder_depth(4),
+    ];
+    let cells: Vec<(WorkloadParams, SystemConfig)> = spec2k_twins()
+        .into_iter()
+        .flat_map(|p| policies.map(|cfg| (p, cfg)))
+        .collect();
+    let mut best = vec![vec![u64::MAX; cells.len()]; CORE_COUNTS.len()];
+    let mut rep_ns = vec![Vec::with_capacity(reps); CORE_COUNTS.len()];
+    let mut insts = vec![0u64; CORE_COUNTS.len()];
+    for rep in 0..reps {
+        let mut totals = [0u64; CORE_COUNTS.len()];
+        for (c, (params, cfg)) in cells.iter().enumerate() {
+            for (k, &n) in CORE_COUNTS.iter().enumerate() {
+                let (ns, result) = timed_window(params, cfg.with_cores(n));
+                best[k][c] = best[k][c].min(ns);
+                totals[k] += ns;
+                if rep == 0 {
+                    insts[k] += result.instructions;
+                }
+            }
+        }
+        for (per_rep, total) in rep_ns.iter_mut().zip(totals) {
+            per_rep.push(total);
+        }
+    }
+    let per_inst = |ns: u64, k: usize| ns as f64 / insts[k].max(1) as f64;
+    let solo = per_inst(best[0].iter().sum(), 0);
+    let costs = CORE_COUNTS
+        .iter()
+        .enumerate()
+        .map(|(k, &cores)| {
+            let ns_per_core_inst = per_inst(best[k].iter().sum(), k);
+            HostCost {
+                cores,
+                ns_per_core_inst,
+                per_repetition: rep_ns[k].iter().map(|&ns| per_inst(ns, k)).collect(),
+                vs_single_core: ns_per_core_inst / solo,
+            }
+        })
+        .collect();
+    HostCostReport {
+        host_cpus: host_cpus(),
+        git_revision: git_revision(),
+        repetitions: reps,
+        warmup_per_run: HOST_COST_SCALE.warmup_instructions,
+        instructions_per_run: HOST_COST_SCALE.instructions,
+        cells: cells.len(),
+        costs,
+    }
 }
 
 fn main() {
@@ -381,6 +520,23 @@ fn main() {
     let chip_saving_positive_everywhere = records.iter().all(|r| r.power_saving_pct > 0.0);
     rule(64);
     println!("chip saving positive on every (twin, cores) cell: {chip_saving_positive_everywhere}");
+
+    let host_cost = measure_host_cost();
+    rule(64);
+    println!(
+        "host cost, {} cells × {HOST_COST_REPS} reps ({} host CPUs):",
+        host_cost.cells, host_cost.host_cpus
+    );
+    for c in &host_cost.costs {
+        let (lo, hi) = c
+            .per_repetition
+            .iter()
+            .fold((f64::MAX, 0.0f64), |acc, v| (acc.0.min(*v), acc.1.max(*v)));
+        println!(
+            "  N={}: {:.0} ns/core-inst (reps {lo:.0}–{hi:.0}), {:.2}× single-core",
+            c.cores, c.ns_per_core_inst, c.vs_single_core
+        );
+    }
     if let Some(path) = csv.path() {
         println!("csv mirrored to {}", path.display());
     }
@@ -394,6 +550,7 @@ fn main() {
         correlation,
         fairness,
         chip_saving_positive_everywhere,
+        host_cost,
     };
     let path =
         std::env::var("VSV_MULTICORE_JSON").unwrap_or_else(|_| "BENCH_multicore.json".to_string());

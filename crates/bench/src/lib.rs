@@ -37,6 +37,35 @@ pub fn experiment_from_env() -> Experiment {
     }
 }
 
+/// Host CPUs available to this process, for stamping into bench
+/// reports (a timing is only comparable on a like host).
+#[must_use]
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// The measured revision: `git rev-parse HEAD`, suffixed `-dirty` when
+/// tracked files differ from it, or `"unknown"` outside a git
+/// checkout.
+#[must_use]
+pub fn git_revision() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+    };
+    let Some(rev) = git(&["rev-parse", "HEAD"])
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+    else {
+        return "unknown".to_owned();
+    };
+    let dirty = git(&["diff", "--quiet", "HEAD", "--"]).is_some_and(|out| !out.status.success());
+    format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
+}
+
 /// Prints a rule line of the given width.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));

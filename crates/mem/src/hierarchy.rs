@@ -395,10 +395,11 @@ impl Hierarchy {
         }
     }
 
-    /// Attaches this hierarchy to a multicore [`SharedFabric`]
-    /// (`handle` carries the core index). From then on L2 probes, bus
-    /// beats, DRAM accesses and L2-MSHR admission route through the
-    /// shared, arbitrated fabric; the private L2/bus/DRAM stay idle.
+    /// Attaches this hierarchy to a multicore
+    /// [`SharedFabric`](crate::SharedFabric) (`handle` carries the core
+    /// index). From then on L2 probes, bus beats, DRAM accesses and
+    /// L2-MSHR admission route through the shared, arbitrated fabric;
+    /// the private L2/bus/DRAM stay idle.
     /// Attach before simulating — never mid-flight, or in-flight
     /// misses would straddle the two uncore worlds.
     pub fn attach_shared(&mut self, handle: SharedHandle) {
@@ -540,7 +541,15 @@ impl Hierarchy {
                 break;
             }
             self.retry.pop_front();
+            let queued = self.retry.len();
             let _ = self.start_l2_miss(now, waiter, l2_block);
+            if self.retry.len() > queued {
+                // The shared MSHR pool rejected it and re-queued it at
+                // the back: restore it to the front (first-in,
+                // first-out) and wait for a slot to free.
+                self.retry.rotate_right(1);
+                break;
+            }
         }
         loop {
             let mut ready = std::mem::take(&mut self.event_scratch);
@@ -1439,6 +1448,50 @@ mod pressure_tests {
             assert!(done.iter().any(|c| c.token == t));
         }
         assert!(mem.quiescent());
+    }
+
+    #[test]
+    fn shared_mshr_pool_exhaustion_retries_until_every_miss_completes() {
+        let mut cfg = HierarchyConfig::baseline();
+        cfg.l2_mshrs = 1;
+        let fabric = crate::SharedFabric::new(cfg, 2).into_shared();
+        let mut mems: Vec<Hierarchy> = (0..2)
+            .map(|core| {
+                let mut mem = Hierarchy::new(cfg);
+                mem.attach_shared(SharedHandle::new(std::rc::Rc::clone(&fabric), core));
+                mem
+            })
+            .collect();
+        // Four cold misses per core against one chip-wide MSHR slot:
+        // each core's probes find the pool held by the other core (or
+        // by its own earlier miss) and queue for retry.
+        let mut tokens: Vec<Vec<MemToken>> = vec![Vec::new(); 2];
+        for (mem, tokens) in mems.iter_mut().zip(&mut tokens) {
+            for i in 0..4u64 {
+                match mem.access_data(0, Addr(0x10_0000 + i * 4096), AccessKind::Read) {
+                    L1Outcome::Miss(t) => tokens.push(t),
+                    other => panic!("expected miss, got {other:?}"),
+                }
+            }
+        }
+        let mut done: Vec<Vec<Completion>> = vec![Vec::new(); 2];
+        for now in 1..10_000 {
+            for (mem, done) in mems.iter_mut().zip(&mut done) {
+                mem.tick(now);
+                done.extend(mem.drain_completions());
+            }
+        }
+        for ((mem, done), tokens) in mems.iter().zip(&done).zip(&tokens) {
+            assert_eq!(done.len(), 4, "every retried miss must complete");
+            for t in tokens {
+                assert!(done.iter().any(|c| c.token == *t));
+            }
+            assert!(mem.quiescent());
+        }
+        let stalls: u64 = (0..2)
+            .map(|i| fabric.borrow().core_stats(i).shared_mshr_stalls)
+            .sum();
+        assert!(stalls > 0, "the single slot must have been contended");
     }
 
     #[test]

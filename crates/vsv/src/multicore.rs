@@ -4,24 +4,28 @@
 //! [`System`] — one core plus its private hierarchy slice — into a
 //! replicated unit behind an arbitrated shared uncore
 //! ([`vsv_mem::SharedFabric`]: one L2, one bus, one DRAM, one L2-MSHR
-//! slot pool). Every core keeps its **own** [`VsvController`] and
-//! policy instance, so each is an independent voltage domain: core 0
-//! can sit at VDDL riding out a miss storm while core 1 runs flat out
-//! at VDDH.
+//! slot pool). Every core keeps its **own**
+//! [`VsvController`](crate::VsvController) and policy instance, so
+//! each is an independent voltage domain: core 0 can sit at VDDL
+//! riding out a miss storm while core 1 runs flat out at VDDH.
 //!
 //! # Lockstep determinism
 //!
-//! The driver advances all cores by exactly one nanosecond per
-//! iteration, in core-index order. Shared-fabric arbitration (bus
-//! FIFO, DRAM banking, MSHR admission) therefore resolves identically
-//! on every run: same configuration, same streams, same interleaving
-//! — bit for bit. Quiescent-stall fast-forward is *not* used here
-//! (a core can only skip when the whole chip is provably inert, which
-//! contention makes rare and correlated); multicore runs are always
-//! ns-stepped. Single-core runs never construct a [`MulticoreSystem`]
-//! at all — the runner dispatches here only when
-//! [`SystemConfig::cores`] > 1 — so the N=1 path stays bit-identical
-//! to the pre-multicore simulator.
+//! The chip runs the same loop as a single [`System`], over all its
+//! cores: every nanosecond each core is stepped in core-index order.
+//! Shared-fabric arbitration (bus FIFO, DRAM banking, MSHR admission)
+//! therefore resolves identically on every run: same configuration,
+//! same streams, same interleaving — bit for bit. With
+//! [`SystemConfig::fast_forward`] on, each core fast-forwards on its
+//! own: a core provably stalled until its next memory, prefetch or
+//! traffic event *parks* and is not stepped until then, while the
+//! others keep running. A parked core makes no fabric call, so the
+//! fabric sees exactly the calls of the ns-stepped chip;
+//! `tests/fast_forward_equivalence.rs` pins results, fabric
+//! statistics and per-core mode traces with parking on and off. When
+//! every core is parked the chip clock jumps to the earliest wake.
+//! Single-core runs never construct a [`MulticoreSystem`] — the
+//! runner dispatches here only when [`SystemConfig::cores`] > 1.
 //!
 //! # Windows
 //!
@@ -45,7 +49,7 @@ use vsv_workloads::{Generator, WorkloadParams};
 use crate::error::SimError;
 use crate::metrics::MetricsRegistry;
 use crate::report::{RunResult, SloOutcome};
-use crate::system::{System, SystemConfig, DEADLOCK_WINDOW_NS};
+use crate::system::{run_lockstep, System, SystemConfig};
 use crate::trace::ModeTrace;
 
 /// N replicated cores — private L1s, prefetcher, controller, policy —
@@ -55,7 +59,6 @@ use crate::trace::ModeTrace;
 #[derive(Debug)]
 pub struct MulticoreSystem {
     cores: Vec<System<Generator>>,
-    names: Vec<String>,
     workload: String,
     fabric: Rc<RefCell<SharedFabric>>,
 }
@@ -105,19 +108,15 @@ impl MulticoreSystem {
         }
         let fabric = SharedFabric::new(cfg.mem, cfg.cores).into_shared();
         let mut cores = Vec::with_capacity(cfg.cores);
-        let mut names = Vec::with_capacity(cfg.cores);
         for (i, p) in params.iter().enumerate() {
             let mut sys = System::try_new(cfg, Generator::new(*p))?;
-            let name = format!("{}#{i}", p.name);
-            sys.set_workload_name(name.clone());
+            sys.set_workload_name(format!("{}#{i}", p.name));
             sys.attach_shared_fabric(SharedHandle::new(Rc::clone(&fabric), i));
             cores.push(sys);
-            names.push(name);
         }
         let workload = params.first().map_or("", |p| p.name).to_owned();
         Ok(MulticoreSystem {
             cores,
-            names,
             workload,
             fabric,
         })
@@ -177,14 +176,7 @@ impl MulticoreSystem {
     /// Returns the first [`SimError`] any core raises (deadlock,
     /// exhausted budget, injected fault, unrecoverable read).
     pub fn try_warm_up(&mut self, instructions: u64) -> Result<(), SimError> {
-        let _ = self.run_lockstep(instructions)?;
-        // Early finishers kept executing until the slowest core hit
-        // the target, accruing into a partial window; close and
-        // discard it so every core's anchors sit at the same "now".
-        for sys in &mut self.cores {
-            let _ = sys.finish_window_now();
-        }
-        Ok(())
+        run_lockstep(&mut self.cores, instructions).map(|_| ())
     }
 
     /// Runs every core for `instructions` committed instructions and
@@ -209,12 +201,7 @@ impl MulticoreSystem {
         &mut self,
         instructions: u64,
     ) -> Result<(RunResult, MetricsRegistry), SimError> {
-        let windows = self.run_lockstep(instructions)?;
-        // Re-anchor the early finishers' background spans (mirrors
-        // `try_warm_up`) so a subsequent window starts clean.
-        for sys in &mut self.cores {
-            let _ = sys.finish_window_now();
-        }
+        let windows = run_lockstep(&mut self.cores, instructions)?;
         let mut metrics = MetricsRegistry::default();
         let mut per_core = Vec::with_capacity(windows.len());
         for (result, window) in windows {
@@ -222,87 +209,6 @@ impl MulticoreSystem {
             per_core.push(result);
         }
         Ok((aggregate(&self.workload, per_core), metrics))
-    }
-
-    /// The lockstep engine: advances all cores one nanosecond at a
-    /// time (core-index order) until every core has committed its
-    /// target, capturing each core's window — result plus metrics
-    /// registry — the moment that core finishes. Finished cores keep
-    /// stepping as background load so contention on the shared fabric
-    /// persists until the last core is done.
-    fn run_lockstep(
-        &mut self,
-        instructions: u64,
-    ) -> Result<Vec<(RunResult, MetricsRegistry)>, SimError> {
-        let n = self.cores.len();
-        for sys in &mut self.cores {
-            sys.begin_window_faults()?;
-        }
-        let window_start = self.now();
-        let targets: Vec<u64> = self
-            .cores
-            .iter()
-            .map(|s| s.core().committed() + instructions)
-            .collect();
-        let mut open = vec![true; n];
-        let mut windows: Vec<Option<(RunResult, MetricsRegistry)>> = (0..n).map(|_| None).collect();
-        let mut last_committed: Vec<u64> =
-            self.cores.iter().map(|s| s.core().committed()).collect();
-        let mut last_progress_at = vec![window_start; n];
-        let mut remaining = n;
-        while remaining > 0 {
-            for sys in &mut self.cores {
-                sys.step_ns();
-            }
-            let now = self.now();
-            for i in 0..n {
-                let sys = &mut self.cores[i];
-                if let Some(err) = sys.take_unrecoverable_error() {
-                    return Err(err);
-                }
-                if !open[i] {
-                    continue;
-                }
-                if let Some(limit) = sys.sim_budget_ns() {
-                    if now - window_start >= limit {
-                        return Err(SimError::BudgetExhausted {
-                            limit_ns: limit,
-                            at: now,
-                            committed: sys.core().committed(),
-                            workload: self.names[i].clone(),
-                        });
-                    }
-                }
-                let committed = sys.core().committed();
-                if committed != last_committed[i] {
-                    last_committed[i] = committed;
-                    last_progress_at[i] = now;
-                } else if now - last_progress_at[i] >= DEADLOCK_WINDOW_NS {
-                    return Err(sys.deadlock_err());
-                }
-                if committed >= targets[i] || sys.core().done() {
-                    let result = sys.finish_window_now();
-                    let window = sys.window_metrics().clone();
-                    windows[i] = Some((result, window));
-                    open[i] = false;
-                    remaining -= 1;
-                }
-            }
-        }
-        // Every slot was filled exactly when its core closed
-        // (`remaining` reaches 0 only once all windows are `Some`).
-        let mut closed = Vec::with_capacity(windows.len());
-        for (i, w) in windows.into_iter().enumerate() {
-            match w {
-                Some(v) => closed.push(v),
-                None => {
-                    return Err(SimError::Panic {
-                        message: format!("core {i} window never closed"),
-                    })
-                }
-            }
-        }
-        Ok(closed)
     }
 }
 

@@ -900,6 +900,17 @@ impl DvsPolicy for ErrorBackoffPolicy {
         // contract guarantees. The cool-down check is time-based but
         // observable only through a gated non-Hold decision, which
         // cannot occur inside the span.
+        //
+        // One exception: engaged and steady at the engage rung with
+        // misses outstanding, the gate turns the inner monitor's
+        // down-step into a hold at the same level. The inner contract
+        // assumes that step would leave `Low`, so it allows a skip
+        // whenever the monitor is momentarily unarmed — yet every
+        // stepped tick re-arms it and it fires again. Step those
+        // nanoseconds instead.
+        if self.engaged && mode == Mode::Low && outstanding_demand > 0 {
+            return false;
+        }
         self.inner.idle_skip_allowed(mode, outstanding_demand)
     }
 

@@ -20,7 +20,7 @@ use crate::trace::{vdd_mv, ModeTrace, TraceEvent, TraceLevel, TraceSample, Trace
 
 /// Simulated nanoseconds without a commit before the watchdog
 /// declares a model deadlock (2 ms of simulated time).
-pub(crate) const DEADLOCK_WINDOW_NS: u64 = 2_000_000;
+const DEADLOCK_WINDOW_NS: u64 = 2_000_000;
 
 /// How many controller mode transitions the always-on diagnostic ring
 /// retains for deadlock reports.
@@ -39,10 +39,12 @@ pub struct SystemConfig {
     pub vsv: VsvConfig,
     /// Whether the Time-Keeping prefetcher is attached (§5.1).
     pub timekeeping: bool,
-    /// Quiescent-stall fast-forward: when the core is provably unable
-    /// to do any work until the next scheduled memory event, advance
-    /// time in one batch instead of nanosecond by nanosecond. Results
-    /// are bit-identical either way (the equivalence suite proves it);
+    /// Quiescent-stall fast-forward: when a core is provably unable
+    /// to do any work until its next scheduled memory event, advance
+    /// its time in one batch instead of nanosecond by nanosecond. On
+    /// a [`MulticoreSystem`](crate::MulticoreSystem) each core does so
+    /// independently, parking while the others step. Results are
+    /// bit-identical either way (the equivalence suite proves it);
     /// the flag exists so tests can pin the ns-stepped reference path.
     pub fast_forward: bool,
     /// Watchdog budget: hard ceiling on *simulated* nanoseconds per
@@ -624,9 +626,8 @@ impl<S: InstStream> System<S> {
     /// Returns the [`SimError`] that ended the warm-up window early
     /// (deadlock, exhausted budget, injected fault).
     pub fn try_warm_up(&mut self, instructions: u64) -> Result<(), SimError> {
-        let _ = self.run_internal(instructions)?;
-        self.reset_measurement();
-        Ok(())
+        // Closing the window re-anchors every counter.
+        run_lockstep(std::slice::from_mut(self), instructions).map(|_| ())
     }
 
     /// Runs `instructions` committed instructions and reports the
@@ -639,8 +640,7 @@ impl<S: InstStream> System<S> {
     /// [`SystemConfig::max_sim_ns`] budget; the fallible form is
     /// [`System::try_run`].
     pub fn run(&mut self, instructions: u64) -> RunResult {
-        self.run_internal(instructions)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.try_run(instructions).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs `instructions` committed instructions and reports the
@@ -654,65 +654,8 @@ impl<S: InstStream> System<S> {
     /// exceeds [`SystemConfig::max_sim_ns`]; the injected error when
     /// [`SystemConfig::inject_fault`] is armed.
     pub fn try_run(&mut self, instructions: u64) -> Result<RunResult, SimError> {
-        self.run_internal(instructions)
-    }
-
-    fn run_internal(&mut self, instructions: u64) -> Result<RunResult, SimError> {
-        if let Some(kind) = self.inject_fault {
-            match kind {
-                // Same construction path as the real detector below,
-                // so the injected error is shaped exactly like a
-                // genuine one.
-                FaultKind::Deadlock => return Err(self.deadlock_error()),
-                FaultKind::Panic => panic!(
-                    "injected panic fault (SystemConfig::inject_fault) at t={}",
-                    self.now
-                ),
-                // Unlike the terminal kinds above, this one arms the
-                // hierarchy and lets the window run: every delivery
-                // errs until one read exhausts its budget, so the
-                // escalation below is exercised through the real
-                // retry machinery.
-                FaultKind::UnrecoverableRead => self.core.mem_mut().arm_forced_read_error(),
-            }
-        }
-        let window_start = self.now;
-        let target = self.core.committed() + instructions;
-        let mut last_committed = self.core.committed();
-        let mut last_progress_at = self.now;
-        while self.core.committed() < target && !self.core.done() {
-            if self.fast_forward {
-                self.try_fast_forward();
-            }
-            self.step();
-            if let Some((at, retries)) = self.pending_unrecoverable.take() {
-                return Err(SimError::UnrecoverableRead {
-                    at,
-                    committed: self.core.committed(),
-                    workload: self.workload.clone(),
-                    retries,
-                    mode: self.controller.mode(),
-                });
-            }
-            if let Some(limit) = self.max_sim_ns {
-                if self.now - window_start >= limit {
-                    return Err(SimError::BudgetExhausted {
-                        limit_ns: limit,
-                        at: self.now,
-                        committed: self.core.committed(),
-                        workload: self.workload.clone(),
-                    });
-                }
-            }
-            let committed = self.core.committed();
-            if committed != last_committed {
-                last_committed = committed;
-                last_progress_at = self.now;
-            } else if self.now - last_progress_at >= DEADLOCK_WINDOW_NS {
-                return Err(self.deadlock_error());
-            }
-        }
-        Ok(self.finish_window())
+        let mut windows = run_lockstep(std::slice::from_mut(self), instructions)?;
+        Ok(windows.swap_remove(0).0)
     }
 
     /// Builds a [`SimError::Deadlock`] for the current machine state,
@@ -727,12 +670,13 @@ impl<S: InstStream> System<S> {
         }
     }
 
-    /// Jumps `self.now` forward to the next scheduled memory event (or
-    /// Time-Keeping harvest) if — and only if — every component is
-    /// provably inert for the whole window, batch-applying the skipped
-    /// zero-issue cycles so all counters match the ns-stepped path bit
-    /// for bit. A no-op whenever any eligibility condition fails.
-    fn try_fast_forward(&mut self) {
+    /// The quiescent-stall test: if — and only if — every component
+    /// is provably inert from `self.now` until the next scheduled
+    /// memory event, Time-Keeping harvest or traffic event, returns
+    /// that wake time (always later than `self.now`). Such a core
+    /// makes no shared-fabric call before it wakes, and
+    /// [`System::skip_to`] replays the span exactly.
+    fn quiescent_until(&self) -> Option<u64> {
         let mem = self.core.mem();
         // Buffered work would be consumed by the very next step; an
         // empty event queue means the machine is either done or about
@@ -742,14 +686,12 @@ impl<S: InstStream> System<S> {
             || mem.has_buffered_vsv_signals()
             || mem.has_buffered_read_errors()
         {
-            return;
+            return None;
         }
-        let Some(event_at) = mem.next_event_time() else {
-            return;
-        };
+        let event_at = mem.next_event_time()?;
         let outstanding = mem.outstanding_demand_misses();
         if !self.core.quiescent() || !self.controller.quiescent_skip_allowed(outstanding) {
-            return;
+            return None;
         }
         // TimeKeeping::tick is a pure no-op strictly before its next
         // harvest time, so cap the skip there. Traffic events cap it
@@ -759,9 +701,15 @@ impl<S: InstStream> System<S> {
         let target = event_at
             .min(self.core.prefetch_harvest_at().unwrap_or(u64::MAX))
             .min(self.traffic.as_ref().map_or(u64::MAX, |t| t.next_at));
-        if target <= self.now {
-            return;
-        }
+        (target > self.now).then_some(target)
+    }
+
+    /// Jumps `self.now` forward to `target`, batch-applying the skipped
+    /// zero-issue cycles so all counters match the ns-stepped path bit
+    /// for bit. `target` must not lie past [`System::quiescent_until`];
+    /// any earlier point is exact too, so a span may be applied in
+    /// pieces.
+    fn skip_to(&mut self, target: u64) {
         let from = self.now;
         let ns = target - from;
         // Snapshot the edge schedule before the controller batches it,
@@ -1255,65 +1203,183 @@ impl<S: InstStream> System<S> {
         result
     }
 
-    // ---- multicore driver hooks ------------------------------------
-    //
-    // `MulticoreSystem` steps N `System`s in nanosecond lockstep from
-    // outside this module, so it needs crate-visible handles onto the
-    // window machinery that `run_internal` drives privately.
-
-    /// Attaches this core's hierarchy to the chip's shared fabric.
+    /// Attaches this core's hierarchy to a chip's shared fabric.
     pub(crate) fn attach_shared_fabric(&mut self, handle: vsv_mem::SharedHandle) {
         self.core.mem_mut().attach_shared(handle);
     }
+}
 
-    /// Replays `run_internal`'s window prologue: dispatches an armed
-    /// injected fault (terminal kinds fail immediately; the
-    /// unrecoverable-read kind arms the hierarchy and lets the window
-    /// run).
-    pub(crate) fn begin_window_faults(&mut self) -> Result<(), SimError> {
-        if let Some(kind) = self.inject_fault {
-            match kind {
-                FaultKind::Deadlock => return Err(self.deadlock_error()),
-                FaultKind::Panic => panic!(
-                    "injected panic fault (SystemConfig::inject_fault) at t={}",
-                    self.now
-                ),
-                FaultKind::UnrecoverableRead => self.core.mem_mut().arm_forced_read_error(),
+/// One core's bookkeeping inside [`run_lockstep`].
+struct Lane {
+    /// Commit count that closes this core's window.
+    target: u64,
+    /// The closed window's result and metrics registry.
+    window: Option<(RunResult, MetricsRegistry)>,
+    last_committed: u64,
+    last_progress_at: u64,
+    /// Chip time a parked core wakes at; its own clock stays at the
+    /// instant it parked until the span is applied.
+    wake: Option<u64>,
+}
+
+/// The simulation loop, for one core or a chip: advances `cores` in
+/// nanosecond lockstep, stepping them in index order, until every core
+/// has committed `instructions` more instructions (or drained its
+/// stream). Each core's window — result plus metrics registry — is
+/// captured the instant that core reaches its target; a core that is
+/// done keeps running as background load, so contention on a shared
+/// fabric persists until the last core finishes.
+///
+/// **Fast-forward as parking.** With [`SystemConfig::fast_forward`]
+/// on, a core that passes [`System::quiescent_until`] at chip time `t`
+/// parks until its wake time and is not stepped meanwhile; the skipped
+/// span is applied in one batch when it wakes. A parked core has no
+/// due event and no queued retry, so it makes no shared-fabric call
+/// during its span and the fabric sees the same calls in the same core
+/// order as when every nanosecond is stepped — results are
+/// bit-identical either way. When every core is parked, the chip clock
+/// jumps to the earliest wake. Before returning, parked cores are
+/// settled up to the chip clock, so every core ends at the same
+/// instant.
+///
+/// The watchdogs (unrecoverable read, simulated-time budget, deadlock)
+/// run after every nanosecond in which some core stepped.
+pub(crate) fn run_lockstep<S: InstStream>(
+    cores: &mut [System<S>],
+    instructions: u64,
+) -> Result<Vec<(RunResult, MetricsRegistry)>, SimError> {
+    for sys in cores.iter_mut() {
+        match sys.inject_fault {
+            // Same construction path as the real detector below, so
+            // the injected error is shaped exactly like a genuine one.
+            Some(FaultKind::Deadlock) => return Err(sys.deadlock_error()),
+            Some(FaultKind::Panic) => panic!(
+                "injected panic fault (SystemConfig::inject_fault) at t={}",
+                sys.now
+            ),
+            // Unlike the terminal kinds above, this one arms the
+            // hierarchy and lets the window run: every delivery errs
+            // until one read exhausts its budget, so the escalation
+            // below is exercised through the real retry machinery.
+            Some(FaultKind::UnrecoverableRead) => sys.core.mem_mut().arm_forced_read_error(),
+            None => {}
+        }
+    }
+    let window_start = cores.first().map_or(0, System::now);
+    let mut lanes: Vec<Lane> = cores
+        .iter()
+        .map(|sys| Lane {
+            target: sys.core.committed() + instructions,
+            window: None,
+            last_committed: sys.core.committed(),
+            last_progress_at: window_start,
+            wake: None,
+        })
+        .collect();
+    let mut now = window_start;
+    let mut open = cores.len();
+    loop {
+        // Close every window whose target is reached — before the first
+        // step too, so a zero-length window closes without stepping.
+        for (sys, lane) in cores.iter_mut().zip(&mut lanes) {
+            if lane.window.is_none() && (sys.core.committed() >= lane.target || sys.core.done()) {
+                let result = sys.finish_window();
+                lane.window = Some((result, sys.window_metrics.clone()));
+                open -= 1;
             }
         }
-        Ok(())
-    }
+        if open == 0 {
+            break;
+        }
 
-    /// Escalates a parked exhausted retry budget into the typed error
-    /// `run_internal` would have returned, if one is pending.
-    pub(crate) fn take_unrecoverable_error(&mut self) -> Option<SimError> {
-        self.pending_unrecoverable
-            .take()
-            .map(|(at, retries)| SimError::UnrecoverableRead {
-                at,
-                committed: self.core.committed(),
-                workload: self.workload.clone(),
-                retries,
-                mode: self.controller.mode(),
-            })
-    }
+        let t = now;
+        let mut stepped = false;
+        let mut next_wake = u64::MAX;
+        for (sys, lane) in cores.iter_mut().zip(&mut lanes) {
+            match lane.wake {
+                Some(wake) if wake > t => {
+                    next_wake = next_wake.min(wake);
+                    continue;
+                }
+                Some(wake) => {
+                    sys.skip_to(wake);
+                    lane.wake = None;
+                }
+                None if sys.fast_forward => {
+                    if let Some(wake) = sys.quiescent_until() {
+                        lane.wake = Some(wake);
+                        next_wake = next_wake.min(wake);
+                        continue;
+                    }
+                }
+                None => {}
+            }
+            sys.step();
+            stepped = true;
+        }
+        if !stepped {
+            now = next_wake;
+            continue;
+        }
+        now = t + 1;
 
-    /// Crate-visible [`System::deadlock_error`] for the lockstep
-    /// driver's own progress watchdog.
-    pub(crate) fn deadlock_err(&self) -> SimError {
-        self.deadlock_error()
+        for i in 0..cores.len() {
+            if let Some((at, retries)) = cores[i].pending_unrecoverable.take() {
+                settle(cores, &mut lanes, now);
+                let sys = &cores[i];
+                return Err(SimError::UnrecoverableRead {
+                    at,
+                    committed: sys.core.committed(),
+                    workload: sys.workload.clone(),
+                    retries,
+                    mode: sys.controller.mode(),
+                });
+            }
+            if lanes[i].window.is_some() {
+                continue;
+            }
+            if let Some(limit) = cores[i].max_sim_ns {
+                if now - window_start >= limit {
+                    settle(cores, &mut lanes, now);
+                    return Err(SimError::BudgetExhausted {
+                        limit_ns: limit,
+                        at: now,
+                        committed: cores[i].core.committed(),
+                        workload: cores[i].workload.clone(),
+                    });
+                }
+            }
+            let committed = cores[i].core.committed();
+            let lane = &mut lanes[i];
+            if committed != lane.last_committed {
+                lane.last_committed = committed;
+                lane.last_progress_at = now;
+            } else if now - lane.last_progress_at >= DEADLOCK_WINDOW_NS {
+                settle(cores, &mut lanes, now);
+                return Err(cores[i].deadlock_error());
+            }
+        }
     }
-
-    /// Crate-visible window close: charges uncore energy, builds the
-    /// [`RunResult`] and re-anchors — exactly what `run_internal` does
-    /// when its commit target is reached.
-    pub(crate) fn finish_window_now(&mut self) -> RunResult {
-        self.finish_window()
+    settle(cores, &mut lanes, now);
+    if cores.len() > 1 {
+        // Early finishers ran on as background load after their
+        // windows closed. Close every core's trailing span at this
+        // common instant (discarding it) so all cores re-anchor
+        // together; a lone core's window closed at this instant
+        // already.
+        for sys in cores.iter_mut() {
+            let _ = sys.finish_window();
+        }
     }
+    Ok(lanes.into_iter().filter_map(|lane| lane.window).collect())
+}
 
-    /// The per-window simulated-time budget, for the lockstep driver.
-    pub(crate) fn sim_budget_ns(&self) -> Option<u64> {
-        self.max_sim_ns
+/// Applies every parked core's skipped span up to chip time `now`.
+fn settle<S: InstStream>(cores: &mut [System<S>], lanes: &mut [Lane], now: u64) {
+    for (sys, lane) in cores.iter_mut().zip(lanes) {
+        if lane.wake.take().is_some() && sys.now < now {
+            sys.skip_to(now);
+        }
     }
 }
 

@@ -6,8 +6,17 @@
 //! both FSM-threshold variants. Also pins the batch catch-up
 //! primitives (FSM window drain, idle-cycle power accounting, leakage
 //! span, controller edge math) against their per-cycle references.
+//!
+//! Chips fast-forward too: each core parks through its own quiescent
+//! spans inside the lockstep loop. The chip half of the suite pins
+//! that per-core parking leaves results, shared-fabric arbitration and
+//! every core's mode trace untouched.
 
-use vsv::{DownPolicy, ModeTrace, RunResult, System, SystemConfig, UpPolicy, VsvController};
+use vsv::{
+    CounterId, DownPolicy, ModeTrace, MulticoreSystem, PolicySpec, RunResult, System, SystemConfig,
+    TrafficSpec, UpPolicy, VsvController,
+};
+use vsv_mem::FabricCoreStats;
 use vsv_power::{ActivitySample, PowerAccountant, PowerConfig};
 use vsv_workloads::{high_mr_names, spec2k_twins, twin, WorkloadParams};
 
@@ -165,6 +174,96 @@ fn ablation_configs_equivalent() {
     let mut per_unit = SystemConfig::vsv_with_fsms();
     per_unit.power.dcg_model = vsv_power::DcgModel::PerUnit;
     assert_equivalent(params, per_unit, "dcg-per-unit");
+}
+
+// ---- multicore: per-core parking inside the lockstep loop ----------
+
+/// Everything a chip run produces that fast-forward could perturb.
+type ChipRun = (RunResult, Vec<FabricCoreStats>, Vec<Option<ModeTrace>>, u64);
+
+/// Runs `chip` (warm-up, then a measured window) with traces on and
+/// returns the result, per-core fabric statistics, per-core mode
+/// traces and the measured window's fast-forward batch count.
+fn run_chip(mut chip: MulticoreSystem) -> ChipRun {
+    chip.enable_traces(TRACE_CAP);
+    chip.try_warm_up(WARMUP).expect("warm-up");
+    let (result, metrics) = chip.try_run_with_metrics(INSTS).expect("run");
+    let batches = metrics.get(CounterId::FastForwardBatches);
+    (result, chip.fabric_stats(), chip.take_traces(), batches)
+}
+
+/// Asserts a chip built by `build` is bit-identical with fast-forward
+/// on and off, and that the fast-forward run really parked cores.
+/// Returns the result both runs share.
+fn assert_chip_equivalent(build: impl Fn(bool) -> MulticoreSystem, label: &str) -> RunResult {
+    let (on, fabric_on, traces_on, batches_on) = run_chip(build(true));
+    let (off, fabric_off, traces_off, batches_off) = run_chip(build(false));
+    assert_eq!(on, off, "RunResult diverged under {label}");
+    assert_eq!(fabric_on, fabric_off, "fabric stats diverged under {label}");
+    assert_eq!(
+        traces_on, traces_off,
+        "per-core ModeTraces diverged under {label}"
+    );
+    assert_eq!(batches_off, 0, "ns-stepped chip took batches under {label}");
+    assert!(batches_on > 0, "no core ever parked under {label}");
+    on
+}
+
+/// Homogeneous 2- and 4-core chips of memory- and compute-bound twins
+/// under the baseline, the paper's FSMs and the 4-level ladder.
+#[test]
+fn chips_equivalent_under_core_configs() {
+    let configs = [
+        ("baseline", SystemConfig::baseline()),
+        ("dual-fsm", SystemConfig::vsv_with_fsms()),
+        (
+            "ladder-fsm@4",
+            SystemConfig::with_policy(PolicySpec::LadderFsm).with_ladder_depth(4),
+        ),
+    ];
+    for cores in [2, 4] {
+        for name in ["mcf", "art", "gzip"] {
+            let params = twin(name).expect("twin exists");
+            for (policy, cfg) in configs {
+                assert_chip_equivalent(
+                    |ff| {
+                        let cfg = cfg.with_cores(cores).with_fast_forward(ff);
+                        MulticoreSystem::try_new(cfg, &params).expect("valid chip")
+                    },
+                    &format!("{name} x{cores} {policy}"),
+                );
+            }
+        }
+    }
+}
+
+/// The heterogeneous service chip: four different twins under
+/// error-backoff on the 4-level ladder, with read errors (retries feed
+/// the policy and gate parking) and an MMPP request train (arrivals
+/// cap each core's park).
+#[test]
+fn heterogeneous_service_chip_equivalent() {
+    let params: Vec<WorkloadParams> = ["mcf", "art", "gzip", "eon"]
+        .iter()
+        .map(|n| twin(n).expect("twin exists"))
+        .collect();
+    let traffic = TrafficSpec::mmpp(0.2, 1.0, 5_000, 5_000, 1_000).with_seed(5);
+    let cfg = SystemConfig::with_policy(PolicySpec::ErrorBackoff)
+        .with_ladder_depth(4)
+        .with_cores(params.len())
+        .with_error_rate(0.02)
+        .with_error_seed(7)
+        .with_traffic(Some(traffic));
+    let build = |ff: bool| {
+        MulticoreSystem::try_new_heterogeneous(cfg.with_fast_forward(ff), &params)
+            .expect("valid chip")
+    };
+    let result = assert_chip_equivalent(build, "mcf/art/gzip/eon error-backoff+mmpp");
+    assert!(result.read_retries > 0, "no read ever retried — dead test");
+    assert!(
+        result.requests_arrived > 0,
+        "no request ever arrived — dead test"
+    );
 }
 
 // ---- batch catch-up primitives vs per-cycle references -------------

@@ -13,8 +13,8 @@
 //! window is no shorter than its solo run).
 
 use vsv::{
-    Experiment, ModeTrace, MulticoreSystem, PolicySpec, RunResult, SimError, Sweep, SweepReport,
-    System, SystemConfig,
+    CounterId, Experiment, ModeTrace, MulticoreSystem, PolicySpec, RunResult, SimError, Sweep,
+    SweepReport, System, SystemConfig,
 };
 use vsv_workloads::{twin, Generator, WorkloadParams};
 
@@ -35,12 +35,10 @@ fn policies() -> [SystemConfig; 3] {
     ]
 }
 
-/// Plain single-core reference: trace on, nanosecond-stepped
-/// (the multicore lockstep loop never fast-forwards, so the
-/// bit-identity claim is against the stepped path).
+/// Plain single-core reference, trace on.
 fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut sys = System::new(cfg.with_fast_forward(false), Generator::new(params));
+    let mut sys = System::new(cfg, Generator::new(params));
     sys.set_workload_name(params.name);
     sys.enable_trace(TRACE_CAP);
     sys.warm_up(e.warmup_instructions);
@@ -52,8 +50,8 @@ fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace
 /// The same run through a one-domain chip.
 fn run_chip_of_1(params: &WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut chip = MulticoreSystem::try_new(cfg.with_fast_forward(false).with_cores(1), params)
-        .expect("valid one-core config");
+    let mut chip =
+        MulticoreSystem::try_new(cfg.with_cores(1), params).expect("valid one-core config");
     chip.enable_traces(TRACE_CAP);
     chip.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = chip.try_run(e.instructions).expect("run");
@@ -76,10 +74,15 @@ fn normalized(mut r: RunResult) -> RunResult {
 
 /// Cycles, energy, mode residency, histograms: the one-core chip
 /// reproduces the plain system exactly under every policy whose
-/// decisions could have been perturbed by the shared fabric.
+/// decisions could have been perturbed by the shared fabric, with
+/// fast-forward on (the chip's core parks where the plain system
+/// skips) and off.
 #[test]
 fn one_core_chip_is_bit_identical_to_plain_system() {
-    for cfg in policies() {
+    for cfg in policies()
+        .into_iter()
+        .flat_map(|cfg| [true, false].map(|ff| cfg.with_fast_forward(ff)))
+    {
         for name in TWIN_MIX {
             let params = twin(name).expect("twin exists");
             let (plain, plain_trace) = run_plain(params, cfg);
@@ -88,20 +91,63 @@ fn one_core_chip_is_bit_identical_to_plain_system() {
             assert_eq!(
                 normalized(chip.core_results[0].clone()),
                 normalized(plain.clone()),
-                "core-0 window diverged from the plain system on {name} ({:?})",
-                cfg.vsv.policy
+                "core-0 window diverged from the plain system on {name} ({:?}, ff {})",
+                cfg.vsv.policy,
+                cfg.fast_forward
             );
             assert_eq!(
                 normalized(chip),
                 normalized(plain),
-                "chip aggregate diverged from the plain system on {name} ({:?})",
-                cfg.vsv.policy
+                "chip aggregate diverged from the plain system on {name} ({:?}, ff {})",
+                cfg.vsv.policy,
+                cfg.fast_forward
             );
             assert_eq!(
                 chip_trace, plain_trace,
-                "per-nanosecond mode trace diverged on {name} ({:?})",
-                cfg.vsv.policy
+                "per-nanosecond mode trace diverged on {name} ({:?}, ff {})",
+                cfg.vsv.policy, cfg.fast_forward
             );
+        }
+    }
+}
+
+/// A zero-instruction window closes at once: no nanosecond is
+/// stepped, and the reported window is empty — on the plain system
+/// and on a one-core chip alike, before and after real work.
+#[test]
+fn zero_length_windows_close_without_stepping() {
+    let params = twin("mcf").expect("twin exists");
+    let assert_empty = |r: &RunResult, label: &str| {
+        assert_eq!(r.instructions, 0, "{label}");
+        assert_eq!(r.elapsed_ns, 0, "{label}");
+        assert_eq!(r.pipeline_cycles, 0, "{label}");
+        assert_eq!(r.energy_pj, 0.0, "{label}");
+    };
+    for ff in [true, false] {
+        let cfg = SystemConfig::vsv_with_fsms().with_fast_forward(ff);
+        let mut sys = System::new(cfg, Generator::new(params));
+        for warm in [0, 2_000] {
+            sys.warm_up(warm);
+            let at = sys.now();
+            sys.warm_up(0);
+            assert_eq!(sys.now(), at, "warm_up(0) stepped the system (ff {ff})");
+            let r = sys.run(0);
+            assert_eq!(sys.now(), at, "run(0) stepped the system (ff {ff})");
+            assert_empty(&r, &format!("system after {warm} (ff {ff})"));
+            assert_eq!(sys.window_metrics().get(CounterId::Windows), 1);
+        }
+
+        let mut chip =
+            MulticoreSystem::try_new(cfg.with_cores(1), &params).expect("valid one-core config");
+        for warm in [0, 2_000] {
+            chip.try_warm_up(warm).expect("warm-up");
+            let at = chip.now();
+            chip.try_warm_up(0).expect("empty warm-up");
+            assert_eq!(chip.now(), at, "chip warm-up(0) stepped (ff {ff})");
+            let r = chip.try_run(0).expect("empty run");
+            assert_eq!(chip.now(), at, "chip run(0) stepped (ff {ff})");
+            assert_empty(&r, &format!("chip after {warm} (ff {ff})"));
+            assert_eq!(r.core_results.len(), 1);
         }
     }
 }

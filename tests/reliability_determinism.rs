@@ -98,6 +98,13 @@ fn fast_forward_is_exact_under_errors() {
             "error-backoff",
             erroring(SystemConfig::with_policy(PolicySpec::ErrorBackoff)),
         ),
+        // Deeper than two rails the backoff gate turns the inner
+        // ladder's down-steps into holds while engaged, so skips must
+        // respect the gate as well as the inner monitor.
+        (
+            "error-backoff@4",
+            erroring(SystemConfig::with_policy(PolicySpec::ErrorBackoff).with_ladder_depth(4)),
+        ),
     ] {
         let (on, m_on, t_on) = e
             .try_run_traced(
