@@ -9,9 +9,12 @@
 //! 1. **Fleet wall-clock**: a memory-bound grid (high-MR twins × a
 //!    down-FSM threshold axis) partitioned into K ∈ {1, 2, 4} shards,
 //!    each run as a single-worker `campaign run` process; records
-//!    wall-clock per K and the speedup over K=1. The K=1 and K=4
-//!    merged reports must be byte-identical (wall-clock zeroed) — the
-//!    run exits nonzero otherwise.
+//!    wall-clock per K, the speedup over K=1 and the ideal speedup
+//!    `min(K, host_cpus)`. The K=1 and K=4 merged reports must be
+//!    byte-identical (wall-clock zeroed), and on a host with at least
+//!    two CPUs the K=2 fleet must not be slower than K=1 — the run
+//!    exits nonzero otherwise. A one-CPU host cannot run two shards
+//!    at once, so there the speedup gate is skipped with a note.
 //! 2. **Merge memory**: a replicated-cell stress grid (default 1500
 //!    cells; `VSV_CAMPAIGN_STRESS_CELLS` overrides) merged by the
 //!    streaming path and by a deliberately buffered path
@@ -43,7 +46,7 @@ use std::time::Instant;
 use vsv::{
     Campaign, DownPolicy, Experiment, MergeOptions, Sweep, SweepJob, SystemConfig, UpPolicy,
 };
-use vsv_bench::{experiment_from_env, rule};
+use vsv_bench::{experiment_from_env, git_revision, host_cpus, rule};
 use vsv_workloads::{high_mr_names, twin};
 
 /// The fleet grid: every high-MR twin under baseline plus a down-FSM
@@ -225,6 +228,9 @@ struct FleetPoint {
     shards_wall_ms: f64,
     /// `shards_wall_ms(K=1) / shards_wall_ms(K)`.
     speedup_vs_1: f64,
+    /// The speedup K single-worker shards can reach on this host:
+    /// `min(K, host_cpus)`.
+    ideal_speedup: f64,
     /// Streaming merge of the K shard files, ms (child-measured).
     merge_wall_ms: f64,
     /// Peak RSS of the merge child, kB.
@@ -247,6 +253,11 @@ struct MergeRss {
 /// The emitted report.
 #[derive(Debug, Clone, serde::Serialize)]
 struct Report {
+    /// CPUs available to this process; bounds every fleet speedup.
+    host_cpus: usize,
+    /// The measured revision (`git rev-parse HEAD`, `-dirty` when the
+    /// tree differs).
+    git_revision: String,
     /// Fleet-grid cells.
     grid_cells: usize,
     /// Measured instructions per cell.
@@ -314,6 +325,7 @@ fn fleet_point(k: usize, dir: &Path) -> (FleetPoint, PathBuf) {
         processes: k,
         shards_wall_ms,
         speedup_vs_1: 0.0, // filled in once K=1 is known
+        ideal_speedup: k.min(host_cpus()) as f64,
         merge_wall_ms: child_value(&stdout, "merge_wall_ms"),
         merge_peak_rss_kb: child_value(&stdout, "peak_rss_kb") as u64,
     };
@@ -383,6 +395,7 @@ fn main() {
         Err(_) => {}
     }
 
+    let cpus = host_cpus();
     let grid_cells = fleet_sweep(e).len();
     let stress_cells = env_usize("VSV_CAMPAIGN_STRESS_CELLS", 1_500);
     let dir = std::env::temp_dir().join(format!("vsv-campaign-scale-{}", std::process::id()));
@@ -391,14 +404,14 @@ fn main() {
 
     println!(
         "Campaign scaling: {grid_cells}-cell fleet grid ({} insts/cell), \
-         {stress_cells}-cell merge stress",
+         {stress_cells}-cell merge stress, {cpus} host CPUs",
         e.instructions
     );
     println!(
-        "{:<6} | {:>14} {:>8} | {:>12} {:>12}",
-        "shards", "shards wall ms", "speedup", "merge ms", "merge kB"
+        "{:<6} | {:>14} {:>8} {:>6} | {:>12} {:>12}",
+        "shards", "shards wall ms", "speedup", "ideal", "merge ms", "merge kB"
     );
-    rule(62);
+    rule(69);
 
     let mut fleet = Vec::new();
     let mut merged_paths = Vec::new();
@@ -411,10 +424,16 @@ fn main() {
     for p in &mut fleet {
         p.speedup_vs_1 = base_wall / p.shards_wall_ms;
         println!(
-            "{:<6} | {:>14.1} {:>7.2}x | {:>12.3} {:>12}",
-            p.processes, p.shards_wall_ms, p.speedup_vs_1, p.merge_wall_ms, p.merge_peak_rss_kb
+            "{:<6} | {:>14.1} {:>7.2}x {:>5.0}x | {:>12.3} {:>12}",
+            p.processes,
+            p.shards_wall_ms,
+            p.speedup_vs_1,
+            p.ideal_speedup,
+            p.merge_wall_ms,
+            p.merge_peak_rss_kb
         );
     }
+    let k2_speedup = fleet[1].speedup_vs_1;
 
     // Determinism gate: K=1 and K=4 merged the same grid, so after the
     // wall-clock scrub the reports must match byte for byte.
@@ -436,7 +455,7 @@ fn main() {
     };
     let streaming_rss_growth = rss("streaming", stress_cells) / rss("streaming", 10);
     let buffered_rss_growth = rss("buffered", stress_cells) / rss("buffered", 10);
-    rule(62);
+    rule(69);
     for m in &merge_rss {
         println!(
             "merge {:<9} {:>6} cells: {:>8} kB peak, {:>10.3} ms",
@@ -449,6 +468,8 @@ fn main() {
     );
 
     let report = Report {
+        host_cpus: cpus,
+        git_revision: git_revision(),
         grid_cells,
         instructions_per_run: e.instructions,
         warmup_per_run: e.warmup_instructions,
@@ -466,8 +487,9 @@ fn main() {
     println!("wrote {path}");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // The two gates CI relies on: cross-K byte identity, and flat
-    // streaming-merge memory.
+    // The gates CI relies on: cross-K byte identity, flat
+    // streaming-merge memory, and a K=2 fleet no slower than K=1
+    // wherever two shards can run at once.
     if !merged_reports_identical {
         eprintln!("FAIL: K=1 and K=4 merged reports differ (beyond wall-clock)");
         std::process::exit(1);
@@ -476,6 +498,18 @@ fn main() {
         eprintln!(
             "FAIL: streaming merge RSS grew {streaming_rss_growth:.2}x from 10 to \
              {stress_cells} cells (gate < 2x)"
+        );
+        std::process::exit(1);
+    }
+    if cpus < 2 {
+        println!(
+            "K=2 speedup gate skipped: {cpus} host CPU cannot run two shards at once \
+             (ideal speedup 1x)"
+        );
+    } else if k2_speedup < 1.0 {
+        eprintln!(
+            "FAIL: K=2 fleet speedup {k2_speedup:.2}x on {cpus} host CPUs \
+             (gate >= 1.0x, ideal 2x)"
         );
         std::process::exit(1);
     }

@@ -20,19 +20,28 @@
 //!   the throttles, as in the paper's Wattch setup.
 //! * Write-backs consume bus/DRAM bandwidth but complete instantly at
 //!   the next level's tags (no write buffer stalls).
+//!
+//! # One uncore path
+//!
+//! The L2, the bus, DRAM and the L2-MSHR slot pool always live in a
+//! [`SharedFabric`]: a standalone hierarchy builds and owns a one-core
+//! fabric, and a chip core swaps in the chip's shared one with
+//! [`Hierarchy::attach_shared`]. The private slice — L1s, their MSHR
+//! files, the prefetch buffer, the L2 MSHR file's waiter bookkeeping
+//! and the refill event queue — stays here.
 
 use std::collections::VecDeque;
 
 use vsv_isa::Addr;
 use vsv_power::counter_rng;
 
-use crate::bus::{Bus, BusConfig};
+use crate::bus::BusConfig;
 use crate::cache::{Cache, CacheConfig};
-use crate::dram::{Dram, DramConfig};
+use crate::dram::DramConfig;
 use crate::event::EventQueue;
 use crate::fx::FxHashMap;
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::shared::{FabricCoreStats, SharedHandle};
+use crate::shared::{FabricCoreStats, SharedFabric, SharedHandle};
 
 /// Identifies one outstanding memory request issued by the core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -266,7 +275,7 @@ impl HierarchyConfig {
 
 /// Aggregate statistics for the hierarchy.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// Demand (non-prefetch) L2 misses detected.
     pub l2_demand_misses: u64,
@@ -305,13 +314,10 @@ pub struct Hierarchy {
     cfg: HierarchyConfig,
     l1i: Cache,
     l1d: Cache,
-    l2: Cache,
     prefetch_buffer: Option<Cache>,
     il1_mshr: MshrFile,
     dl1_mshr: MshrFile,
     l2_mshr: MshrFile,
-    bus: Bus,
-    dram: Dram,
     events: EventQueue<Event>,
     retry: VecDeque<(u64, Addr)>,
     // Fx-hashed: point lookups only, never iterated, so the hash
@@ -344,16 +350,15 @@ pub struct Hierarchy {
     // into escalation. Cleared on exhaustion.
     force_error: bool,
     read_error_events: Vec<ReadErrorEvent>,
-    // Multicore: when attached, the L2, bus, DRAM and L2-MSHR slot
-    // pool live in the shared fabric and the private copies above sit
-    // idle. `None` (single-core) keeps every code path bit-identical
-    // to a build without the fabric.
-    shared: Option<SharedHandle>,
+    // The L2, bus, DRAM and L2-MSHR slot pool: this hierarchy's own
+    // one-core fabric, or a chip's shared one once attached.
+    uncore: SharedHandle,
     now: u64,
 }
 
 impl Hierarchy {
-    /// Builds an empty hierarchy.
+    /// Builds an empty hierarchy over its own one-core
+    /// [`SharedFabric`].
     ///
     /// # Panics
     ///
@@ -364,13 +369,10 @@ impl Hierarchy {
         Hierarchy {
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
-            l2: Cache::new(cfg.l2),
             prefetch_buffer: cfg.prefetch_buffer.map(Cache::fifo),
             il1_mshr: MshrFile::new(cfg.il1_mshrs, cfg.mshr_targets),
             dl1_mshr: MshrFile::new(cfg.dl1_mshrs, cfg.mshr_targets),
             l2_mshr: MshrFile::new(cfg.l2_mshrs, cfg.mshr_targets),
-            bus: Bus::new(cfg.bus),
-            dram: Dram::new(cfg.dram),
             events: EventQueue::new(),
             retry: VecDeque::new(),
             waiters: FxHashMap::default(),
@@ -389,32 +391,31 @@ impl Hierarchy {
             error_threshold: 0,
             force_error: false,
             read_error_events: Vec::new(),
-            shared: None,
+            uncore: SharedHandle::new(SharedFabric::new(cfg, 1).into_shared(), 0),
             cfg,
             now: 0,
         }
     }
 
-    /// Attaches this hierarchy to a multicore
-    /// [`SharedFabric`](crate::SharedFabric) (`handle` carries the core
-    /// index). From then on L2 probes, bus beats, DRAM accesses and
-    /// L2-MSHR admission route through the shared, arbitrated fabric;
-    /// the private L2/bus/DRAM stay idle.
-    /// Attach before simulating — never mid-flight, or in-flight
-    /// misses would straddle the two uncore worlds.
+    /// Attaches this hierarchy to a chip's [`SharedFabric`] (`handle`
+    /// carries the core index), dropping the hierarchy's own one-core
+    /// fabric. Attach before simulating — never mid-flight, or
+    /// in-flight misses would straddle two fabrics.
     pub fn attach_shared(&mut self, handle: SharedHandle) {
         debug_assert!(
             self.events.is_empty() && self.retry.is_empty(),
             "attach the shared fabric before simulating"
         );
-        self.shared = Some(handle);
+        self.uncore = handle;
     }
 
-    /// This core's shared-fabric statistics, when a fabric is
-    /// attached.
+    /// This core's slice of the fabric statistics: the L2 lookups,
+    /// bus transactions and DRAM accesses it caused, for uncore
+    /// energy accounting. Cumulative — [`Self::reset_stats`] leaves
+    /// them alone.
     #[must_use]
-    pub fn shared_fabric_stats(&self) -> Option<FabricCoreStats> {
-        self.shared.as_ref().map(SharedHandle::stats)
+    pub fn fabric_stats(&self) -> FabricCoreStats {
+        self.uncore.stats()
     }
 
     /// Enables the low-voltage timing-error model with the given PRNG
@@ -544,9 +545,9 @@ impl Hierarchy {
             let queued = self.retry.len();
             let _ = self.start_l2_miss(now, waiter, l2_block);
             if self.retry.len() > queued {
-                // The shared MSHR pool rejected it and re-queued it at
-                // the back: restore it to the front (first-in,
-                // first-out) and wait for a slot to free.
+                // The slot pool rejected it and re-queued it at the
+                // back: restore it to the front (first-in, first-out)
+                // and wait for a slot to free.
                 self.retry.rotate_right(1);
                 break;
             }
@@ -661,17 +662,19 @@ impl Hierarchy {
         self.stats
     }
 
-    /// Per-cache statistics `(l1i, l1d, l2)`.
+    /// Per-cache statistics `(l1i, l1d, l2)`. The L2 element is the
+    /// fabric's, so on a chip it counts every core's lookups.
     #[must_use]
     pub fn cache_stats(&self) -> (crate::CacheStats, crate::CacheStats, crate::CacheStats) {
-        (self.l1i.stats(), self.l1d.stats(), self.l2.stats())
+        (self.l1i.stats(), self.l1d.stats(), self.uncore.l2_stats())
     }
 
-    /// Resets all statistics (after warm-up), keeping cache contents.
+    /// Resets this core's private statistics (after warm-up), keeping
+    /// cache contents. The fabric's L2 and per-core counters may be
+    /// shared with other cores, so they stay cumulative.
     pub fn reset_stats(&mut self) {
         self.l1i.reset_stats();
         self.l1d.reset_stats();
-        self.l2.reset_stats();
         if let Some(pb) = self.prefetch_buffer.as_mut() {
             pb.reset_stats();
         }
@@ -682,113 +685,6 @@ impl Hierarchy {
     #[must_use]
     pub fn l1d(&self) -> &Cache {
         &self.l1d
-    }
-
-    /// Direct read-only access to the L2 cache.
-    #[must_use]
-    pub fn l2(&self) -> &Cache {
-        &self.l2
-    }
-
-    /// The private bus, for utilisation reporting. Idle when a shared
-    /// fabric is attached — use [`Hierarchy::bus_transactions`] for
-    /// counts that stay correct in both worlds.
-    #[must_use]
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
-    /// Bus transactions this core caused (request beats, response
-    /// transfers and write-backs), whichever bus carried them.
-    #[must_use]
-    pub fn bus_transactions(&self) -> u64 {
-        if let Some(h) = &self.shared {
-            h.stats().bus_transactions
-        } else {
-            self.bus.transactions()
-        }
-    }
-
-    /// L2 lookups this core made (hits + misses), for uncore energy
-    /// accounting — attributed per core when the L2 is shared.
-    #[must_use]
-    pub fn l2_accesses(&self) -> u64 {
-        if let Some(h) = &self.shared {
-            h.stats().l2_accesses
-        } else {
-            self.l2.stats().accesses()
-        }
-    }
-
-    /// Total DRAM accesses this core caused (refills + write-backs),
-    /// for uncore energy accounting.
-    #[must_use]
-    pub fn dram_accesses(&self) -> u64 {
-        if let Some(h) = &self.shared {
-            h.stats().dram_accesses
-        } else {
-            self.dram.accesses()
-        }
-    }
-
-    // ---- shared-fabric dispatch ------------------------------------
-    //
-    // Single-core (`shared == None`) takes the private-component arm,
-    // byte-for-byte the pre-multicore code; attached cores route to
-    // the arbitrated fabric.
-
-    fn sched_bus(&mut self, now: u64, bytes: u64) -> (u64, u64) {
-        if let Some(h) = &self.shared {
-            h.schedule(now, bytes)
-        } else {
-            self.bus.schedule(now, bytes)
-        }
-    }
-
-    fn access_dram(&mut self, start: u64) -> u64 {
-        if let Some(h) = &self.shared {
-            h.dram_access(start)
-        } else {
-            self.dram.access(start)
-        }
-    }
-
-    fn l2_lookup(&mut self, block: Addr) -> bool {
-        if let Some(h) = &self.shared {
-            h.l2_access(block)
-        } else {
-            self.l2.access(block, false)
-        }
-    }
-
-    fn l2_install(&mut self, block: Addr) -> Option<Addr> {
-        if let Some(h) = &self.shared {
-            h.l2_fill(block)
-        } else {
-            self.l2.fill(block)
-        }
-    }
-
-    fn l2_set_dirty(&mut self, block: Addr) -> bool {
-        if let Some(h) = &self.shared {
-            h.l2_mark_dirty(block)
-        } else {
-            self.l2.mark_dirty(block)
-        }
-    }
-
-    fn l2_install_writeback(&mut self, block: Addr) -> Option<Addr> {
-        if let Some(h) = &self.shared {
-            h.l2_fill_with(block, true)
-        } else {
-            self.l2.fill_with(block, true)
-        }
-    }
-
-    fn release_pool_slot(&mut self) {
-        if let Some(h) = &self.shared {
-            h.release_mshr();
-        }
     }
 
     // ---- internals ------------------------------------------------
@@ -868,7 +764,7 @@ impl Hierarchy {
     fn l2_probe(&mut self, waiter: u64, l2_block: Addr) {
         let now = self.now;
         let demand = self.waiters.get(&waiter).is_some_and(|w| w.demand);
-        if self.l2_lookup(l2_block) {
+        if self.uncore.l2_access(l2_block) {
             self.stats.l2_hit_refills += 1;
             self.events.push(
                 now,
@@ -903,19 +799,14 @@ impl Hierarchy {
     /// lower bound carried by [`VsvSignal::L2MissDetected`].
     fn start_l2_miss(&mut self, now: u64, waiter: u64, l2_block: Addr) -> Option<u64> {
         let demand = self.waiters.get(&waiter).is_some_and(|w| w.demand);
-        // Shared-MSHR admission: the chip-wide slot pool caps how many
-        // L2 misses can be outstanding across all cores. A merge into
+        // Slot-pool admission: the fabric's pool caps how many L2
+        // misses can be outstanding across all its cores. A merge into
         // an already-in-flight miss needs no new slot, so only a fresh
         // block claims one.
-        let mut pool_slot = false;
-        if let Some(h) = &self.shared {
-            if !self.inflight_return.contains_key(&l2_block) {
-                if !h.try_acquire_mshr() {
-                    self.retry.push_back((waiter, l2_block));
-                    return None;
-                }
-                pool_slot = true;
-            }
+        let pool_slot = !self.inflight_return.contains_key(&l2_block);
+        if pool_slot && !self.uncore.try_acquire_mshr() {
+            self.retry.push_back((waiter, l2_block));
+            return None;
         }
         match self.l2_mshr.allocate(l2_block, waiter, demand) {
             MshrOutcome::Primary => {
@@ -923,21 +814,21 @@ impl Hierarchy {
                 // transfer arbitrates only when the data is ready
                 // (split transaction), so later requests are not
                 // blocked behind this miss's future response slot.
-                let (_, req_done) = self.sched_bus(now, 0);
-                let data_ready = self.access_dram(req_done);
+                let (_, req_done) = self.uncore.schedule(now, 0);
+                let data_ready = self.uncore.dram_access(req_done);
                 self.events.push(data_ready, Event::DramDone { l2_block });
                 self.inflight_return.insert(l2_block, data_ready);
                 Some(data_ready)
             }
             MshrOutcome::Merged => {
                 if pool_slot {
-                    self.release_pool_slot();
+                    self.uncore.release_mshr();
                 }
                 self.inflight_return.get(&l2_block).copied()
             }
             MshrOutcome::Full => {
                 if pool_slot {
-                    self.release_pool_slot();
+                    self.uncore.release_mshr();
                 }
                 self.retry.push_back((waiter, l2_block));
                 None
@@ -948,7 +839,7 @@ impl Hierarchy {
     /// DRAM data ready: claim the bus for the response transfer.
     fn dram_done(&mut self, l2_block: Addr) {
         let now = self.now;
-        let (_, resp_done) = self.sched_bus(now, self.cfg.l2.block_bytes);
+        let (_, resp_done) = self.uncore.schedule(now, self.cfg.l2.block_bytes);
         self.events.push(resp_done, Event::L2Fill { l2_block });
     }
 
@@ -956,14 +847,13 @@ impl Hierarchy {
         let now = self.now;
         self.stats.memory_refills += 1;
         self.inflight_return.remove(&l2_block);
-        // The refill retires its shared-MSHR slot (held since the
-        // primary allocation in `start_l2_miss`).
-        self.release_pool_slot();
-        if let Some(victim) = self.l2_install(l2_block) {
+        // The refill retires its pool slot (held since the primary
+        // allocation in `start_l2_miss`).
+        self.uncore.release_mshr();
+        if self.uncore.l2_fill(l2_block, false).is_some() {
             // Dirty L2 eviction: write back over the bus to memory.
-            let (_, wb_done) = self.sched_bus(now, self.cfg.l2.block_bytes);
-            let _ = self.access_dram(wb_done);
-            let _ = victim;
+            let (_, wb_done) = self.uncore.schedule(now, self.cfg.l2.block_bytes);
+            let _ = self.uncore.dram_access(wb_done);
         }
         let Some((waiter_ids, demand)) = self.l2_mshr.complete(l2_block) else {
             return;
@@ -1082,14 +972,14 @@ impl Hierarchy {
         if let Some(victim) = self.l1d.fill_evicting(l1_block, dirty) {
             if victim.dirty {
                 let v_l2 = victim.addr.block(self.cfg.l2.block_bytes);
-                if !self.l2_set_dirty(v_l2) {
+                if !self.uncore.l2_mark_dirty(v_l2) {
                     // Victim not in L2 (e.g. L2 evicted it first):
                     // write-allocate it back, possibly cascading a
                     // dirty L2 eviction to memory.
-                    if self.l2_install_writeback(v_l2).is_some() {
+                    if self.uncore.l2_fill(v_l2, true).is_some() {
                         let now = self.now;
-                        let (_, wb_done) = self.sched_bus(now, self.cfg.l2.block_bytes);
-                        let _ = self.access_dram(wb_done);
+                        let (_, wb_done) = self.uncore.schedule(now, self.cfg.l2.block_bytes);
+                        let _ = self.uncore.dram_access(wb_done);
                     }
                 }
             }
@@ -1530,7 +1420,7 @@ mod pressure_tests {
             panic!()
         };
         drain(&mut mem, 402, 800);
-        assert!(!mem.l2().probe(a), "A must be gone from the L2");
+        assert!(!mem.uncore.l2_probe(a), "A must be gone from the L2");
         assert!(mem.l1d().probe(a), "A still dirty in the L1");
 
         // Evict A from the L1 (same L1 set 0 via +256): the dirty
@@ -1542,7 +1432,7 @@ mod pressure_tests {
         drain(&mut mem, 802, 1_400);
         assert!(mem.drain_l1d_evictions().contains(&a));
         assert!(
-            mem.l2().probe(a),
+            mem.uncore.l2_probe(a),
             "the dirty victim must be re-allocated into the L2"
         );
     }

@@ -19,6 +19,14 @@
 //! exposes L1 hits combinationally and advances everything deeper on a
 //! nanosecond [`Hierarchy::tick`].
 //!
+//! There is one uncore path. The L2, the bus, DRAM and the L2-MSHR
+//! slot pool live only in a [`SharedFabric`]: [`Hierarchy::new`] builds
+//! and owns a one-core fabric, and a multicore chip attaches each
+//! core's hierarchy to its shared fabric with
+//! [`Hierarchy::attach_shared`] before simulating. The per-core slice —
+//! L1s, their MSHR files, the prefetch buffer and the refill event
+//! queue — stays inside the hierarchy.
+//!
 //! The hierarchy also emits the signals VSV's mode controller consumes:
 //! [`VsvSignal::L2MissDetected`] (raised one L2-hit-latency after a
 //! demand request reaches the L2 — the paper's conservative

@@ -1,12 +1,13 @@
-//! The shared uncore fabric for multicore simulation.
+//! The uncore fabric: the one path to the L2, the bus and DRAM.
 //!
 //! A chip multiprocessor replicates the *private* hierarchy slice —
 //! L1s, their MSHR files, the prefetch buffer — once per core, while
 //! the L2, the memory bus and DRAM are **shared** and arbitrated.
-//! [`SharedFabric`] owns that shared slice; each per-core
+//! [`SharedFabric`] owns that shared slice, and every
 //! [`Hierarchy`](crate::Hierarchy) routes its L2 probes, bus beats and
-//! DRAM accesses through a [`SharedHandle`] instead of its private
-//! components when one is attached.
+//! DRAM accesses through a [`SharedHandle`]. There is no private
+//! copy: a standalone hierarchy owns a one-core fabric, and a chip
+//! core swaps in the chip's fabric before simulating.
 //!
 //! Design invariants:
 //!
@@ -20,13 +21,22 @@
 //!   L2, modeling a multiprogrammed (rate-style) workload: cores
 //!   contend for L2 capacity, bus slots, DRAM banks and MSHR slots,
 //!   but never share cache blocks, so no coherence protocol is
-//!   modeled. The tag sits far above the L2 index bits, so a single
-//!   attached core behaves bit-identically to a private hierarchy.
+//!   modeled. The tag sits far above the L2 index bits, so it
+//!   changes L2 tags only, never set indexing: core 0 of an N-core
+//!   fabric whose other cores stay idle behaves exactly like a
+//!   one-core fabric.
 //! * **Shared MSHRs as a slot pool.** Cores keep their private L2
 //!   MSHR *files* (waiter bookkeeping is per-core), but the number of
 //!   chip-wide outstanding L2 misses is capped by one shared pool of
 //!   [`HierarchyConfig::l2_mshrs`](crate::HierarchyConfig) slots — the
-//!   chip has one L2's worth of miss bandwidth, not one per core.
+//!   chip has one L2's worth of miss bandwidth, not one per core. In
+//!   a one-core fabric the pool and the MSHR file have the same size,
+//!   so the pool never rejects a miss the file would have accepted.
+//! * **`Rc<RefCell>` sharing.** The handle aliases the fabric rather
+//!   than borrowing it per step because the benchmark's fabric
+//!   microbenchmark (`perfbench/`) builds chips through
+//!   [`SharedHandle::new`] with an `Rc<RefCell<SharedFabric>>`; lending
+//!   a chip-owned fabric by `&mut` would change that API.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -57,9 +67,9 @@ pub struct FabricCoreStats {
     pub bus_wait_ns: u64,
     /// DRAM accesses this core caused (refills + write-backs).
     pub dram_accesses: u64,
-    /// Shared-L2 lookups this core made (hits + misses) — the same
-    /// count a private L2's `CacheStats::accesses` would report, so
-    /// per-core uncore energy attribution is unchanged at N = 1.
+    /// L2 lookups this core made (hits + misses): this core's share
+    /// of the L2's `CacheStats::accesses`, all of it in a one-core
+    /// fabric.
     pub l2_accesses: u64,
     /// L2 misses this core could not start because the shared MSHR
     /// pool was exhausted (each is retried next tick).
@@ -166,16 +176,12 @@ impl SharedFabric {
         self.l2.access(Self::tag(core, block), false)
     }
 
-    fn l2_fill(&mut self, core: usize, block: Addr) -> Option<Addr> {
-        self.l2.fill(Self::tag(core, block))
+    fn l2_fill(&mut self, core: usize, block: Addr, dirty: bool) -> Option<Addr> {
+        self.l2.fill_with(Self::tag(core, block), dirty)
     }
 
     fn l2_mark_dirty(&mut self, core: usize, block: Addr) -> bool {
         self.l2.mark_dirty(Self::tag(core, block))
-    }
-
-    fn l2_fill_with(&mut self, core: usize, block: Addr, dirty: bool) -> Option<Addr> {
-        self.l2.fill_with(Self::tag(core, block), dirty)
     }
 
     fn try_acquire_mshr(&mut self, core: usize) -> bool {
@@ -245,18 +251,28 @@ impl SharedHandle {
         self.fabric.borrow_mut().l2_access(self.core, block)
     }
 
-    pub(crate) fn l2_fill(&self, block: Addr) -> Option<Addr> {
-        self.fabric.borrow_mut().l2_fill(self.core, block)
+    /// Installs `block` in the L2 (dirty if `dirty`), returning the
+    /// dirty victim that must be written back, if any.
+    pub(crate) fn l2_fill(&self, block: Addr, dirty: bool) -> Option<Addr> {
+        self.fabric.borrow_mut().l2_fill(self.core, block, dirty)
     }
 
     pub(crate) fn l2_mark_dirty(&self, block: Addr) -> bool {
         self.fabric.borrow_mut().l2_mark_dirty(self.core, block)
     }
 
-    pub(crate) fn l2_fill_with(&self, block: Addr, dirty: bool) -> Option<Addr> {
+    /// Whether `block` is resident in this core's L2 address space,
+    /// without touching LRU state or statistics.
+    #[cfg(test)]
+    pub(crate) fn l2_probe(&self, block: Addr) -> bool {
         self.fabric
-            .borrow_mut()
-            .l2_fill_with(self.core, block, dirty)
+            .borrow()
+            .l2
+            .probe(SharedFabric::tag(self.core, block))
+    }
+
+    pub(crate) fn l2_stats(&self) -> crate::CacheStats {
+        self.fabric.borrow().l2_stats()
     }
 
     pub(crate) fn try_acquire_mshr(&self) -> bool {

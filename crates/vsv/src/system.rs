@@ -3,8 +3,8 @@
 
 use vsv_isa::InstStream;
 use vsv_mem::{
-    Hierarchy, HierarchyConfig, HierarchyStats, ReadErrorEvent, VsvSignal, READ_ERROR_DETECT_NS,
-    READ_ERROR_RETRY_NS,
+    FabricCoreStats, Hierarchy, HierarchyConfig, HierarchyStats, ReadErrorEvent, VsvSignal,
+    READ_ERROR_DETECT_NS, READ_ERROR_RETRY_NS,
 };
 use vsv_power::{ActivitySample, ErrorCurve, PowerAccountant, PowerConfig, StructureId};
 use vsv_prefetch::{TimeKeeping, TimeKeepingConfig};
@@ -362,9 +362,7 @@ struct Anchors {
     now: u64,
     core: CoreStats,
     mem: HierarchyStats,
-    l2_accesses: u64,
-    dram_accesses: u64,
-    bus_transactions: u64,
+    uncore: FabricCoreStats,
     mode: ModeStats,
     policy: PolicyStats,
 }
@@ -467,9 +465,7 @@ impl<S: InstStream> System<S> {
             now: 0,
             core: core.stats(),
             mem: core.mem().stats(),
-            l2_accesses: 0,
-            dram_accesses: 0,
-            bus_transactions: 0,
+            uncore: FabricCoreStats::default(),
             mode: controller.stats(),
             policy: controller.policy_stats(),
         };
@@ -1022,9 +1018,7 @@ impl<S: InstStream> System<S> {
             now: self.now,
             core: self.core.stats(),
             mem: self.core.mem().stats(),
-            l2_accesses: self.core.mem().l2_accesses(),
-            dram_accesses: self.core.mem().dram_accesses(),
-            bus_transactions: self.core.mem().bus_transactions(),
+            uncore: self.core.mem().fabric_stats(),
             mode: self.controller.stats(),
             policy: self.controller.policy_stats(),
         };
@@ -1034,10 +1028,12 @@ impl<S: InstStream> System<S> {
     /// window's L2/bus/DRAM events and builds the result.
     fn finish_window(&mut self) -> RunResult {
         let a = self.anchors;
-        let l2_accesses = self.core.mem().l2_accesses() - a.l2_accesses;
-        let dram = self.core.mem().dram_accesses() - a.dram_accesses;
-        let bus = self.core.mem().bus_transactions() - a.bus_transactions;
-        self.power.record_uncore(l2_accesses, dram, bus);
+        let uncore = self.core.mem().fabric_stats();
+        self.power.record_uncore(
+            uncore.l2_accesses - a.uncore.l2_accesses,
+            uncore.dram_accesses - a.uncore.dram_accesses,
+            uncore.bus_transactions - a.uncore.bus_transactions,
+        );
 
         let core = self.core.stats();
         let mem = self.core.mem().stats();

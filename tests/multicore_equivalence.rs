@@ -1,11 +1,14 @@
 //! The multicore backward-compatibility contract: a one-core
-//! [`MulticoreSystem`] — one voltage domain over the shared fabric —
+//! [`MulticoreSystem`] — one voltage domain over the chip's fabric —
 //! reproduces the plain single-core [`System`] *bit for bit* (same
 //! cycles, same energy, same per-nanosecond mode trace), and the
-//! runner's `--cores 1` path is byte-identical to the pre-multicore
-//! path with fast-forward on or off. There is no legacy single-core
-//! fabric to fall back on when `cores == 1` reaches the shared code,
-//! so this suite is what keeps the lift honest.
+//! runner's `--cores 1` path is byte-identical to the plain path with
+//! fast-forward on or off. Both sides run on a `SharedFabric`: the
+//! plain system's hierarchy owns a one-core fabric, and the chip's core
+//! swaps in the chip's. What this suite pins is that the chip's
+//! construction and lockstep loop add nothing to that one path, under
+//! every policy, at two ladder depths, and with read errors and bursty
+//! traffic.
 //!
 //! The N = 2 half pins the new behaviour: lockstep runs are
 //! deterministic, chip results carry one window per core, and two
@@ -16,7 +19,7 @@ use vsv::{
     CounterId, Experiment, ModeTrace, MulticoreSystem, PolicySpec, RunResult, SimError, Sweep,
     SweepReport, System, SystemConfig,
 };
-use vsv_workloads::{twin, Generator, WorkloadParams};
+use vsv_workloads::{twin, Generator, TrafficSpec, WorkloadParams};
 
 const TRACE_CAP: usize = 1 << 16;
 
@@ -24,15 +27,16 @@ const TRACE_CAP: usize = 1 << 16;
 /// ladder equivalence suites pin on.
 const TWIN_MIX: [&str; 5] = ["mcf", "art", "ammp", "gzip", "mesa"];
 
-/// The policies whose decision state must survive the lift untouched:
-/// the paper's dual FSMs, the N-level generalization, and the oracle
-/// upper bound.
-fn policies() -> [SystemConfig; 3] {
-    [
-        SystemConfig::vsv_with_fsms(),
-        SystemConfig::with_policy(PolicySpec::LadderFsm).with_ladder_depth(3),
-        SystemConfig::with_policy(PolicySpec::OracleDown),
-    ]
+/// One memory-bound and one compute-bound twin: the bit-identity
+/// grid's workloads.
+const BIT_IDENTITY_TWINS: [&str; 2] = ["mcf", "gzip"];
+
+/// Every policy on a `depth`-level ladder.
+fn every_policy_at_depth(depth: usize) -> Vec<SystemConfig> {
+    PolicySpec::ALL
+        .into_iter()
+        .map(|policy| SystemConfig::with_policy(policy).with_ladder_depth(depth))
+        .collect()
 }
 
 /// Plain single-core reference, trace on.
@@ -72,43 +76,84 @@ fn normalized(mut r: RunResult) -> RunResult {
     r
 }
 
-/// Cycles, energy, mode residency, histograms: the one-core chip
-/// reproduces the plain system exactly under every policy whose
-/// decisions could have been perturbed by the shared fabric, with
-/// fast-forward on (the chip's core parks where the plain system
-/// skips) and off.
-#[test]
-fn one_core_chip_is_bit_identical_to_plain_system() {
-    for cfg in policies()
-        .into_iter()
+/// Runs every config in `configs` with fast-forward on (the chip's
+/// core parks where the plain system skips) and off, on both
+/// bit-identity twins, and asserts the one-core chip reproduces the
+/// plain system exactly. Returns the plain results for dead-test
+/// checks.
+fn assert_one_core_chips_match(configs: &[SystemConfig]) -> Vec<RunResult> {
+    let mut results = Vec::new();
+    for cfg in configs
+        .iter()
         .flat_map(|cfg| [true, false].map(|ff| cfg.with_fast_forward(ff)))
     {
-        for name in TWIN_MIX {
+        for name in BIT_IDENTITY_TWINS {
             let params = twin(name).expect("twin exists");
             let (plain, plain_trace) = run_plain(params, cfg);
             let (chip, chip_trace) = run_chip_of_1(&params, cfg);
+            let cell = format!(
+                "{name} ({:?}, {} levels, error rate {}, traffic {}, ff {})",
+                cfg.vsv.policy,
+                cfg.vsv.ladder.depth(),
+                cfg.error_rate,
+                cfg.traffic.is_some(),
+                cfg.fast_forward
+            );
             assert_eq!(chip.core_results.len(), 1, "one window per core");
             assert_eq!(
                 normalized(chip.core_results[0].clone()),
                 normalized(plain.clone()),
-                "core-0 window diverged from the plain system on {name} ({:?}, ff {})",
-                cfg.vsv.policy,
-                cfg.fast_forward
+                "core-0 window diverged from the plain system on {cell}"
             );
             assert_eq!(
                 normalized(chip),
-                normalized(plain),
-                "chip aggregate diverged from the plain system on {name} ({:?}, ff {})",
-                cfg.vsv.policy,
-                cfg.fast_forward
+                normalized(plain.clone()),
+                "chip aggregate diverged from the plain system on {cell}"
             );
             assert_eq!(
                 chip_trace, plain_trace,
-                "per-nanosecond mode trace diverged on {name} ({:?}, ff {})",
-                cfg.vsv.policy, cfg.fast_forward
+                "per-nanosecond mode trace diverged on {cell}"
             );
+            results.push(plain);
         }
     }
+    results
+}
+
+/// Cycles, energy, mode residency, histograms: the one-core chip
+/// reproduces the plain system exactly under every policy on the
+/// paper's two rails.
+#[test]
+fn one_core_chip_is_bit_identical_to_plain_system() {
+    assert_one_core_chips_match(&every_policy_at_depth(2));
+}
+
+/// The same contract under every policy on a 4-level ladder, plus one
+/// cell with low-voltage read errors and an MMPP request train (retries
+/// feed the policy; arrivals cap each park).
+#[test]
+fn one_core_chip_is_bit_identical_on_deep_ladders_under_errors_and_traffic() {
+    let mut configs = every_policy_at_depth(4);
+    configs.push(
+        SystemConfig::with_policy(PolicySpec::ErrorBackoff)
+            .with_ladder_depth(4)
+            .with_error_rate(0.02)
+            .with_error_seed(7)
+            .with_traffic(Some(
+                TrafficSpec::mmpp(0.2, 1.0, 5_000, 5_000, 1_000).with_seed(5),
+            )),
+    );
+    let results = assert_one_core_chips_match(&configs);
+    // The stressed cell's runs come last: ff on and off, each twin.
+    let stressed = &results[results.len() - 2 * BIT_IDENTITY_TWINS.len()..];
+    assert!(
+        stressed.iter().any(|r| r.read_retries > 0),
+        "no read ever retried — dead test"
+    );
+    assert!(
+        stressed.iter().all(|r| r.requests_arrived > 0),
+        "no request ever arrived — dead test"
+    );
 }
 
 /// A zero-instruction window closes at once: no nanosecond is
