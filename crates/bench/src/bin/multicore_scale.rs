@@ -473,8 +473,9 @@ fn main() {
     let solo: Vec<f64> = pair
         .iter()
         .map(|p| {
-            e.try_run(p, SystemConfig::vsv_with_fsms())
+            e.try_run(p, SystemConfig::vsv_with_fsms(), None)
                 .expect("solo run")
+                .0
                 .ipc
         })
         .collect();

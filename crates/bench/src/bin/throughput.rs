@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use vsv::{Experiment, NullSink, SystemConfig, TraceLevel};
+use vsv::{Experiment, NullSink, SystemConfig, TraceLevel, TraceSink};
 use vsv_bench::{experiment_from_env, rule};
 use vsv_workloads::spec2k_twins;
 
@@ -133,17 +133,9 @@ fn timed_run(
     let mut best: Option<Record> = None;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let result = if null_sink {
-            e.try_run_instrumented(
-                params,
-                cfg,
-                Some((TraceLevel::Events, Box::new(NullSink), None)),
-            )
-            .unwrap_or_else(|err| panic!("{err}"))
-            .0
-        } else {
-            e.run(params, cfg)
-        };
+        let sink =
+            null_sink.then(|| (TraceLevel::Events, Box::new(NullSink) as Box<dyn TraceSink>));
+        let (result, _) = e.try_run(params, cfg, sink).expect("run");
         let wall = start.elapsed();
         let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX).max(1);
         let secs = wall_ns as f64 / 1e9;

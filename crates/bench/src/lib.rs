@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use vsv::Experiment;
 
@@ -86,18 +86,31 @@ impl CsvSink {
     ///
     /// # Panics
     ///
+    /// As [`CsvSink::in_dir`].
+    #[must_use]
+    pub fn from_env(experiment: &str) -> Self {
+        Self::in_dir(
+            std::env::var_os("VSV_CSV_DIR").as_deref().map(Path::new),
+            experiment,
+        )
+    }
+
+    /// Opens `<dir>/<experiment>.csv`, creating `dir` if needed; with
+    /// no `dir`, returns a no-op sink.
+    ///
+    /// # Panics
+    ///
     /// Panics if the directory or file cannot be created (a CSV path
     /// was explicitly requested, so failing silently would lose data).
     #[must_use]
-    pub fn from_env(experiment: &str) -> Self {
-        let Some(dir) = std::env::var_os("VSV_CSV_DIR") else {
+    pub fn in_dir(dir: Option<&Path>, experiment: &str) -> Self {
+        let Some(dir) = dir else {
             return CsvSink {
                 file: None,
                 path: None,
             };
         };
-        let dir = PathBuf::from(dir);
-        std::fs::create_dir_all(&dir).expect("create VSV_CSV_DIR");
+        std::fs::create_dir_all(dir).expect("create CSV directory");
         let path = dir.join(format!("{experiment}.csv"));
         let file = std::fs::File::create(&path).expect("create csv file");
         CsvSink {
@@ -127,7 +140,7 @@ impl CsvSink {
 
     /// Where the CSV is being written, if anywhere.
     #[must_use]
-    pub fn path(&self) -> Option<&std::path::Path> {
+    pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
     }
 }
@@ -194,9 +207,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_sink_without_env_is_noop() {
-        // VSV_CSV_DIR is not set in the test environment.
-        let mut sink = CsvSink::from_env("unit-test");
+    fn csv_sink_without_dir_is_noop() {
+        let mut sink = CsvSink::in_dir(None, "unit-test");
         assert!(sink.path().is_none());
         sink.row(&["a", "b"]); // must not panic
     }
@@ -204,14 +216,13 @@ mod tests {
     #[test]
     fn csv_quoting() {
         // Exercise the quoting path through a real temp file.
-        let dir = std::env::temp_dir().join("vsv-csv-test");
-        std::env::set_var("VSV_CSV_DIR", &dir);
-        let mut sink = CsvSink::from_env("quoting");
+        let dir = std::env::temp_dir().join(format!("vsv-csv-test-{}", std::process::id()));
+        let mut sink = CsvSink::in_dir(Some(&dir), "quoting");
         sink.row(&["plain", "with,comma", "with\"quote"]);
         let path = sink.path().expect("csv requested").to_owned();
         drop(sink);
-        std::env::remove_var("VSV_CSV_DIR");
         let contents = std::fs::read_to_string(path).expect("csv written");
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(contents.trim(), "plain,\"with,comma\",\"with\"\"quote\"");
     }
 }

@@ -855,8 +855,8 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
                 warmup_instructions: warmup,
                 instructions: insts,
             };
-            let result = e
-                .try_run(&params, config.to_config(timekeeping))
+            let (result, _) = e
+                .try_run(&params, config.to_config(timekeeping), None)
                 .map_err(|err| err.to_string())?;
             if json {
                 serde_json::to_string_pretty(&result)
@@ -1182,10 +1182,11 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
             svg,
         } => {
             let params = twin(&name).ok_or_else(|| unknown_twin(&name))?;
-            let mut sys = System::new(SystemConfig::vsv_with_fsms(), Generator::new(params));
+            let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))
+                .map_err(|e| e.to_string())?;
             sys.enable_trace(ns);
-            sys.warm_up(20_000);
-            let _ = sys.run(30_000);
+            sys.try_warm_up(20_000).map_err(|e| e.to_string())?;
+            sys.try_run(30_000).map_err(|e| e.to_string())?;
             let trace = sys.take_trace().expect("tracing was enabled");
             let mut out = String::new();
             out.push_str("H=high d=down-distribute D=ramp-down L=low u=up-distribute U=ramp-up\n");

@@ -134,18 +134,6 @@ impl SharedFabric {
         self.per_core[core]
     }
 
-    /// The shared bus, for chip-level utilisation reporting.
-    #[must_use]
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
-    /// Total DRAM accesses served chip-wide.
-    #[must_use]
-    pub fn dram_accesses(&self) -> u64 {
-        self.dram.accesses()
-    }
-
     /// The shared L2's hit/miss statistics (chip-wide; per-core miss
     /// counts stay in each core's
     /// [`HierarchyStats`](crate::HierarchyStats)).
@@ -225,12 +213,6 @@ impl SharedHandle {
             "core index {core} out of range for the shared fabric"
         );
         SharedHandle { fabric, core }
-    }
-
-    /// This handle's core index.
-    #[must_use]
-    pub fn core(&self) -> usize {
-        self.core
     }
 
     /// This core's fabric statistics.

@@ -104,24 +104,14 @@ impl<S: InstStream> Core<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`CoreConfig::validate`]; the fallible
-    /// form is [`Core::try_new`].
+    /// Panics if `cfg` fails [`CoreConfig::validate`]. Callers that
+    /// need a typed error validate first, as `System::try_new` does.
     #[must_use]
     pub fn new(cfg: CoreConfig, mem: Hierarchy, stream: S) -> Self {
-        Self::try_new(cfg, mem, stream)
-            .unwrap_or_else(|e| panic!("invalid core configuration: {e}"))
-    }
-
-    /// Builds a core over `mem`, fed by `stream`, validating `cfg`
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`CoreConfig::validate`] message when `cfg` is
-    /// internally inconsistent.
-    pub fn try_new(cfg: CoreConfig, mem: Hierarchy, stream: S) -> Result<Self, String> {
-        cfg.validate()?;
-        Ok(Core {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid core configuration: {e}");
+        }
+        Core {
             ruu: Ruu::new(cfg.ruu_entries, cfg.lsq_entries),
             fus: FuSet::new(&cfg),
             bpred: BranchPredictor::new(cfg.bpred),
@@ -147,7 +137,7 @@ impl<S: InstStream> Core<S> {
             ready_scratch: Vec::new(),
             writeback_scratch: Vec::new(),
             cfg,
-        })
+        }
     }
 
     /// Attaches a Time-Keeping prefetch engine (requires the hierarchy
@@ -1328,21 +1318,14 @@ mod disambiguation_tests {
     }
 
     #[test]
-    fn try_new_returns_validation_errors() {
+    #[should_panic(expected = "lsq_entries")]
+    fn new_panics_on_invalid_config() {
         let mut cfg = CoreConfig::baseline();
         cfg.lsq_entries = cfg.ruu_entries + 1;
-        let err = Core::try_new(
+        let _ = Core::new(
             cfg,
             Hierarchy::new(HierarchyConfig::baseline()),
             VecStream::new(Vec::new()),
-        )
-        .expect_err("lsq > ruu is invalid");
-        assert!(err.contains("lsq_entries"), "{err}");
-        assert!(Core::try_new(
-            CoreConfig::baseline(),
-            Hierarchy::new(HierarchyConfig::baseline()),
-            VecStream::new(Vec::new()),
-        )
-        .is_ok());
+        );
     }
 }

@@ -8,9 +8,9 @@
 //! workload, the controller mode, and the last few mode transitions
 //! leading up to the hang.
 //!
-//! The panicking entry points ([`crate::System::run`],
-//! [`crate::Experiment::run`], …) remain as thin wrappers over the
-//! `try_*` forms and render these errors in their panic messages.
+//! Every entry point that builds or runs a simulation
+//! ([`crate::System::try_run`], [`crate::Experiment::try_run`], …)
+//! returns these errors; none panics on them.
 
 use crate::controller::Mode;
 

@@ -40,22 +40,20 @@ impl Experiment {
         }
     }
 
-    /// Runs one workload under one configuration.
+    /// Runs one workload under one configuration: builds the machine,
+    /// warms it up, then measures the window. Failures (invalid
+    /// configuration, deadlock, exhausted budget, injected fault)
+    /// come back as typed errors, so a bad [`crate::Sweep`] cell
+    /// becomes a per-cell failure record rather than a dead sweep.
     ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`]; the fallible form is
-    /// [`Experiment::try_run`].
-    #[must_use]
-    pub fn run(&self, params: &WorkloadParams, cfg: SystemConfig) -> RunResult {
-        self.try_run(params, cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs one workload under one configuration, returning failures
-    /// (invalid configuration, deadlock, exhausted budget, injected
-    /// fault) as typed errors instead of panicking. This is the entry
-    /// point [`crate::Sweep`] uses, so a bad grid cell becomes a
-    /// per-cell failure record rather than a dead sweep.
+    /// Returns the result and the measured window's
+    /// [`MetricsRegistry`]. With `trace` set, structured
+    /// [`TraceEvent`]s at that level go to the sink during the
+    /// measured window (the warm-up is never traced, so traces start
+    /// at the measurement anchor); the sink is flushed and dropped
+    /// before returning. A caller that wants a header line (such as
+    /// a [`TraceEvent::JobStart`]) records it into the sink before
+    /// passing the sink in.
     ///
     /// # Errors
     ///
@@ -65,70 +63,40 @@ impl Experiment {
         &self,
         params: &WorkloadParams,
         cfg: SystemConfig,
-    ) -> Result<RunResult, SimError> {
-        if cfg.cores > 1 {
-            return self.try_run_multicore(params, cfg, None).map(|(r, _)| r);
-        }
-        let mut sys = System::try_new(cfg, Generator::new(*params))?;
-        sys.set_workload_name(params.name);
-        sys.try_warm_up(self.warmup_instructions)?;
-        sys.try_run(self.instructions)
-    }
-
-    /// [`Experiment::try_run`] plus the measured window's
-    /// [`MetricsRegistry`], optionally delivering structured
-    /// [`TraceEvent`]s to `sink` during the measured window (the
-    /// warm-up is never traced, so traces start at the measurement
-    /// anchor). The sink is flushed and dropped before returning.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during construction, warm-up, or the
-    /// measured window.
-    pub fn try_run_instrumented(
-        &self,
-        params: &WorkloadParams,
-        cfg: SystemConfig,
-        sink: Option<(TraceLevel, Box<dyn TraceSink>, Option<TraceEvent>)>,
+        trace: Option<(TraceLevel, Box<dyn TraceSink>)>,
     ) -> Result<(RunResult, MetricsRegistry), SimError> {
         if cfg.cores > 1 {
-            return self.try_run_multicore(params, cfg, sink);
+            return self.try_run_multicore(params, cfg, trace);
         }
         let mut sys = System::try_new(cfg, Generator::new(*params))?;
         sys.set_workload_name(params.name);
         sys.try_warm_up(self.warmup_instructions)?;
-        if let Some((level, mut sink, header)) = sink {
-            if let Some(header) = &header {
-                // The header (a `job_start`) precedes the seeding
-                // `mode_entered`, so record it before attaching.
-                sink.record(header);
-            }
+        if let Some((level, sink)) = trace {
             sys.set_event_sink(level, sink);
         }
         let result = sys.try_run(self.instructions);
         drop(sys.take_event_sink());
-        let result = result?;
-        Ok((result, sys.window_metrics().clone()))
+        Ok((result?, sys.window_metrics().clone()))
     }
 
-    /// The `cores > 1` arm of [`Experiment::try_run_instrumented`]:
-    /// builds a [`MulticoreSystem`], warms up, then runs the measured
-    /// window with one in-memory [`CaptureSink`] per core. Afterwards
-    /// the captured streams are replayed into the caller's single
-    /// sink — the `header` first, then each core's events behind a
-    /// [`TraceEvent::CoreStart`] marker — so one JSONL trace carries
-    /// the whole chip while single-core byte streams stay unchanged
-    /// (they never contain a `CoreStart`).
+    /// The `cores > 1` arm of [`Experiment::try_run`]: builds a
+    /// [`MulticoreSystem`], warms up, then runs the measured window
+    /// with one in-memory [`CaptureSink`] per core. Afterwards the
+    /// captured streams are replayed into the caller's single sink,
+    /// each core's events behind a [`TraceEvent::CoreStart`] marker,
+    /// so one JSONL trace carries the whole chip while single-core
+    /// byte streams stay unchanged (they never contain a
+    /// `CoreStart`).
     fn try_run_multicore(
         &self,
         params: &WorkloadParams,
         cfg: SystemConfig,
-        sink: Option<(TraceLevel, Box<dyn TraceSink>, Option<TraceEvent>)>,
+        trace: Option<(TraceLevel, Box<dyn TraceSink>)>,
     ) -> Result<(RunResult, MetricsRegistry), SimError> {
         let mut chip = MulticoreSystem::try_new(cfg, params)?;
         chip.try_warm_up(self.warmup_instructions)?;
         let mut capture: Option<Vec<EventBuf>> = None;
-        if let Some((level, _, _)) = &sink {
+        if let Some((level, _)) = &trace {
             let bufs: Vec<EventBuf> = (0..chip.cores()).map(|_| EventBuf::default()).collect();
             for (sys, buf) in chip.systems_mut().iter_mut().zip(&bufs) {
                 sys.set_event_sink(*level, Box::new(CaptureSink::new(buf.clone())));
@@ -140,10 +108,7 @@ impl Experiment {
             drop(sys.take_event_sink());
         }
         let (result, metrics) = result?;
-        if let (Some(bufs), Some((_, mut out, header))) = (capture, sink) {
-            if let Some(header) = &header {
-                out.record(header);
-            }
+        if let (Some(bufs), Some((_, mut out))) = (capture, trace) {
             for (i, buf) in bufs.into_iter().enumerate() {
                 out.record(&TraceEvent::CoreStart { core: i as u64 });
                 for event in buf.take() {
@@ -155,60 +120,22 @@ impl Experiment {
         Ok((result, metrics))
     }
 
-    /// [`Experiment::try_run`] plus the measured window's
-    /// [`MetricsRegistry`], with no trace sink attached.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during construction, warm-up, or the
-    /// measured window.
-    pub fn try_run_with_metrics(
-        &self,
-        params: &WorkloadParams,
-        cfg: SystemConfig,
-    ) -> Result<(RunResult, MetricsRegistry), SimError> {
-        self.try_run_instrumented(params, cfg, None)
-    }
-
-    /// Runs one workload with a JSONL trace of the measured window:
-    /// returns the result, the window's metrics, and the trace bytes
-    /// (one serialized [`TraceEvent`] per line, starting with
-    /// `header` if given). The byte stream is deterministic: the same
-    /// `params`/`cfg`/`header` produce identical bytes on every run.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during construction, warm-up, or the
-    /// measured window. (The trace itself cannot fail: it serializes
-    /// plain values into memory.)
-    #[cfg(feature = "serde")]
-    pub fn try_run_traced(
-        &self,
-        params: &WorkloadParams,
-        cfg: SystemConfig,
-        level: TraceLevel,
-        header: Option<TraceEvent>,
-    ) -> Result<(RunResult, MetricsRegistry, Vec<u8>), SimError> {
-        let buf = crate::trace::SharedBuf::default();
-        let sink = crate::trace::JsonlSink::new(buf.clone());
-        let (result, metrics) =
-            self.try_run_instrumented(params, cfg, Some((level, Box::new(sink), header)))?;
-        Ok((result, metrics, buf.take()))
-    }
-
     /// Runs a (baseline, variant) pair over the same workload and
     /// compares them with the paper's metrics.
-    #[must_use]
+    ///
+    /// # Errors
+    ///
+    /// The first [`SimError`] either run raises.
     pub fn compare(
         &self,
         params: &WorkloadParams,
         baseline: SystemConfig,
         variant: SystemConfig,
-    ) -> (RunResult, RunResult, Comparison) {
-        let base = self.run(params, baseline);
-        let vsv = self.run(params, variant);
+    ) -> Result<(RunResult, RunResult, Comparison), SimError> {
+        let (base, _) = self.try_run(params, baseline, None)?;
+        let (vsv, _) = self.try_run(params, variant, None)?;
         let cmp = Comparison::of(&base, &vsv);
-        (base, vsv, cmp)
+        Ok((base, vsv, cmp))
     }
 }
 
@@ -220,10 +147,13 @@ mod tests {
     #[test]
     fn quick_experiment_runs_a_twin() {
         let e = Experiment::quick();
-        let r = e.run(
-            &twin("gzip").expect("gzip exists"),
-            SystemConfig::baseline(),
-        );
+        let (r, _) = e
+            .try_run(
+                &twin("gzip").expect("gzip exists"),
+                SystemConfig::baseline(),
+                None,
+            )
+            .expect("baseline runs");
         assert_eq!(r.workload, "gzip");
         assert!((e.instructions..e.instructions + 8).contains(&r.instructions));
         assert!(r.ipc > 0.2);
@@ -235,20 +165,21 @@ mod tests {
         let p = twin("gzip").expect("gzip exists");
         let mut cfg = SystemConfig::baseline();
         cfg.core.fetch_width = 0;
-        let err = e.try_run(&p, cfg).expect_err("invalid config");
+        let err = e.try_run(&p, cfg, None).expect_err("invalid config");
         assert_eq!(err.kind(), "invalid-config");
         let cfg = SystemConfig::baseline().with_injected_fault(crate::FaultKind::Deadlock);
-        let err = e.try_run(&p, cfg).expect_err("fault armed");
+        let err = e.try_run(&p, cfg, None).expect_err("fault armed");
         assert_eq!(err.kind(), "deadlock");
-        assert!(e.try_run(&p, SystemConfig::baseline()).is_ok());
+        assert!(e.try_run(&p, SystemConfig::baseline(), None).is_ok());
     }
 
     #[test]
     fn compare_produces_paper_metrics() {
         let e = Experiment::quick();
         let p = twin("ammp").expect("ammp exists");
-        let (base, vsv, cmp) =
-            e.compare(&p, SystemConfig::baseline(), SystemConfig::vsv_with_fsms());
+        let (base, vsv, cmp) = e
+            .compare(&p, SystemConfig::baseline(), SystemConfig::vsv_with_fsms())
+            .expect("pair runs");
         assert!(base.mpki > 1.0, "ammp twin misses, got {}", base.mpki);
         assert!(vsv.mode.down_transitions > 0);
         assert!(cmp.power_saving_pct > 0.0, "got {}", cmp.power_saving_pct);
@@ -274,23 +205,26 @@ impl Experiment {
     /// of a result is the parameter point versus the particular
     /// pseudo-random interleaving.
     ///
+    /// # Errors
+    ///
+    /// The first [`SimError`] any run raises.
+    ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
-    #[must_use]
     pub fn compare_across_seeds(
         &self,
         params: &WorkloadParams,
         baseline: SystemConfig,
         variant: SystemConfig,
         seeds: &[u64],
-    ) -> ComparisonSpread {
+    ) -> Result<ComparisonSpread, SimError> {
         assert!(!seeds.is_empty(), "need at least one seed");
         let mut comparisons = Vec::with_capacity(seeds.len());
         for &seed in seeds {
             let mut p = *params;
             p.seed = seed;
-            let (_, _, cmp) = self.compare(&p, baseline, variant);
+            let (_, _, cmp) = self.compare(&p, baseline, variant)?;
             comparisons.push(cmp);
         }
         let mean = crate::report::mean_comparison(&comparisons);
@@ -298,11 +232,11 @@ impl Experiment {
         let var = |f: &dyn Fn(&crate::report::Comparison) -> f64, mu: f64| {
             comparisons.iter().map(|c| (f(c) - mu).powi(2)).sum::<f64>() / n
         };
-        ComparisonSpread {
+        Ok(ComparisonSpread {
             mean,
             power_std: var(&|c| c.power_saving_pct, mean.power_saving_pct).sqrt(),
             perf_std: var(&|c| c.perf_degradation_pct, mean.perf_degradation_pct).sqrt(),
-        }
+        })
     }
 }
 
@@ -318,12 +252,14 @@ mod seed_tests {
             instructions: 40_000,
         };
         let p = twin("ammp").expect("ammp exists");
-        let spread = e.compare_across_seeds(
-            &p,
-            SystemConfig::baseline(),
-            SystemConfig::vsv_with_fsms(),
-            &[1, 2, 3],
-        );
+        let spread = e
+            .compare_across_seeds(
+                &p,
+                SystemConfig::baseline(),
+                SystemConfig::vsv_with_fsms(),
+                &[1, 2, 3],
+            )
+            .expect("seeds run");
         assert!(spread.mean.power_saving_pct > 5.0);
         // The effect is a property of the parameter point, not of one
         // lucky seed: the spread is small relative to the mean.

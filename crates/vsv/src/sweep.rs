@@ -7,7 +7,7 @@
 //! [`Sweep`] provides both: jobs execute on `std::thread::scope`
 //! workers pulling from a shared atomic queue, and results come back
 //! in **grid order** (the order jobs were supplied), bit-identical to
-//! a serial loop over [`Experiment::run`] regardless of the worker
+//! a serial loop over [`Experiment::try_run`] regardless of the worker
 //! count or the scheduling interleaving. `tests/sweep_equivalence.rs`
 //! pins that guarantee.
 //!
@@ -509,7 +509,7 @@ impl Sweep {
     /// `(params, config)` and the experiment scale — every simulator
     /// is owned by exactly one job — so on an all-success grid the
     /// result vector is bit-identical for any `workers >= 1` and
-    /// equal to a serial loop over [`Experiment::run`]. Only the
+    /// equal to a serial loop over [`Experiment::try_run`]. Only the
     /// `wall_ns` fields vary between runs.
     ///
     /// Fault isolation: a job that fails — typed [`SimError`] or a
@@ -670,16 +670,21 @@ fn execute_job(
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             #[cfg(feature = "serde")]
             if let Some(level) = trace {
-                let header = crate::trace::TraceEvent::JobStart {
+                use crate::trace::{JsonlSink, SharedBuf, TraceEvent, TraceSink};
+                let buf = SharedBuf::default();
+                let mut sink = JsonlSink::new(buf.clone());
+                sink.record(&TraceEvent::JobStart {
                     job: index as u64,
                     workload: job.params.name.to_owned(),
                     policy: job.config.policy_name().to_owned(),
                     config_digest: config_digest(&job.config),
-                };
-                return experiment.try_run_traced(&job.params, job.config, level, Some(header));
+                });
+                let (result, metrics) =
+                    experiment.try_run(&job.params, job.config, Some((level, Box::new(sink))))?;
+                return Ok((result, metrics, buf.take()));
             }
             experiment
-                .try_run_with_metrics(&job.params, job.config)
+                .try_run(&job.params, job.config, None)
                 .map(|(result, metrics)| (result, metrics, Vec::new()))
         }));
         match caught {

@@ -48,9 +48,9 @@ pub struct SystemConfig {
     /// the flag exists so tests can pin the ns-stepped reference path.
     pub fast_forward: bool,
     /// Watchdog budget: hard ceiling on *simulated* nanoseconds per
-    /// [`System::run`]/[`System::warm_up`] window. A window that
-    /// exceeds it fails with [`SimError::BudgetExhausted`] instead of
-    /// simulating forever. `None` (the default) means unlimited;
+    /// [`System::try_run`]/[`System::try_warm_up`] window. A window
+    /// that exceeds it fails with [`SimError::BudgetExhausted`]
+    /// instead of simulating forever. `None` (the default) means unlimited;
     /// `Some(0)` is rejected by [`SystemConfig::validate`].
     pub max_sim_ns: Option<u64>,
     /// Test-only fault injection: forces the next run window to fail
@@ -376,10 +376,11 @@ struct Anchors {
 /// use vsv_workloads::{Generator, WorkloadParams};
 ///
 /// let stream = Generator::new(WorkloadParams::compute_bound("demo"));
-/// let mut sys = System::new(SystemConfig::baseline(), stream);
-/// let result = sys.run(5_000);
+/// let mut sys = System::try_new(SystemConfig::baseline(), stream)?;
+/// let result = sys.try_run(5_000)?;
 /// assert!(result.instructions >= 5_000); // 8-wide commit may overshoot
 /// assert!(result.avg_power_w > 0.0);
+/// # Ok::<(), vsv::SimError>(())
 /// ```
 #[derive(Debug)]
 pub struct System<S> {
@@ -425,17 +426,6 @@ pub struct System<S> {
 }
 
 impl<S: InstStream> System<S> {
-    /// Builds the system over `stream`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sub-configuration is invalid; the fallible form
-    /// is [`System::try_new`].
-    #[must_use]
-    pub fn new(cfg: SystemConfig, stream: S) -> Self {
-        Self::try_new(cfg, stream).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Builds the system over `stream`, validating the configuration
     /// first.
     ///
@@ -557,8 +547,8 @@ impl<S: InstStream> System<S> {
     }
 
     /// The metrics registry of the last closed measurement window
-    /// (what [`System::run`] measured); empty before the first window
-    /// closes.
+    /// (what [`System::try_run`] measured); empty before the first
+    /// window closes.
     #[must_use]
     pub fn window_metrics(&self) -> &MetricsRegistry {
         &self.window_metrics
@@ -608,14 +598,8 @@ impl<S: InstStream> System<S> {
 
     /// Runs `instructions` committed instructions to warm the caches
     /// and predictors, then re-anchors all measurement counters so the
-    /// next [`System::run`] reports steady-state numbers (the paper
-    /// warms caches during fast-forward, §5).
-    pub fn warm_up(&mut self, instructions: u64) {
-        self.try_warm_up(instructions)
-            .unwrap_or_else(|e| panic!("warm-up failed: {e}"));
-    }
-
-    /// Fallible form of [`System::warm_up`].
+    /// next [`System::try_run`] reports steady-state numbers (the
+    /// paper warms caches during fast-forward, §5).
     ///
     /// # Errors
     ///
@@ -629,25 +613,12 @@ impl<S: InstStream> System<S> {
     /// Runs `instructions` committed instructions and reports the
     /// measured window.
     ///
-    /// # Panics
-    ///
-    /// Panics if the machine stops making forward progress (a model
-    /// deadlock — indicates a simulator bug) or exceeds its
-    /// [`SystemConfig::max_sim_ns`] budget; the fallible form is
-    /// [`System::try_run`].
-    pub fn run(&mut self, instructions: u64) -> RunResult {
-        self.try_run(instructions).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs `instructions` committed instructions and reports the
-    /// measured window, returning failures as typed [`SimError`]s
-    /// instead of panicking.
-    ///
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if no instruction commits for 2 ms of
-    /// simulated time; [`SimError::BudgetExhausted`] if the window
-    /// exceeds [`SystemConfig::max_sim_ns`]; the injected error when
+    /// simulated time (a model deadlock — indicates a simulator bug);
+    /// [`SimError::BudgetExhausted`] if the window exceeds
+    /// [`SystemConfig::max_sim_ns`]; the injected error when
     /// [`SystemConfig::inject_fault`] is armed.
     pub fn try_run(&mut self, instructions: u64) -> Result<RunResult, SimError> {
         let mut windows = run_lockstep(std::slice::from_mut(self), instructions)?;
@@ -774,7 +745,7 @@ impl<S: InstStream> System<S> {
 
     /// Advances the simulation by exactly one nanosecond without any
     /// completion criterion — the single-stepping primitive under
-    /// [`System::run`], exposed for tools that want to observe the
+    /// [`System::try_run`], exposed for tools that want to observe the
     /// controller's mode trajectory cycle by cycle.
     pub fn step_ns(&mut self) {
         self.step();
@@ -1418,12 +1389,13 @@ mod tests {
 
     #[test]
     fn baseline_run_reports_sane_numbers() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
-        );
-        sys.warm_up(5_000);
-        let r = sys.run(20_000);
+        )
+        .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(20_000).expect("run");
         // Commit is 8-wide, so the window may overshoot by up to 7.
         assert!(
             (20_000..20_008).contains(&r.instructions),
@@ -1441,11 +1413,12 @@ mod tests {
 
     #[test]
     fn baseline_cycles_equal_elapsed_ns() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
-        );
-        let r = sys.run(10_000);
+        )
+        .expect("valid config");
+        let r = sys.try_run(10_000).expect("run");
         assert_eq!(
             r.pipeline_cycles, r.elapsed_ns,
             "full speed: 1 cycle per ns"
@@ -1455,13 +1428,15 @@ mod tests {
     #[test]
     fn vsv_saves_power_on_memory_bound_twin() {
         let params = memory_bound_params();
-        let mut base = System::new(SystemConfig::baseline(), Generator::new(params));
-        base.warm_up(10_000);
-        let rb = base.run(30_000);
+        let mut base = System::try_new(SystemConfig::baseline(), Generator::new(params))
+            .expect("valid config");
+        base.try_warm_up(10_000).expect("warm-up");
+        let rb = base.try_run(30_000).expect("run");
 
-        let mut vsv = System::new(SystemConfig::vsv_with_fsms(), Generator::new(params));
-        vsv.warm_up(10_000);
-        let rv = vsv.run(30_000);
+        let mut vsv = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))
+            .expect("valid config");
+        vsv.try_warm_up(10_000).expect("warm-up");
+        let rv = vsv.try_run(30_000).expect("run");
 
         assert!(rb.mpki > 4.0, "twin must be memory bound, MR {}", rb.mpki);
         assert!(rv.mode.down_transitions > 0, "VSV must engage");
@@ -1482,12 +1457,14 @@ mod tests {
     fn vsv_leaves_compute_bound_twin_alone() {
         let mut p = WorkloadParams::compute_bound("cpu");
         p.far_fraction = 0.0;
-        let mut base = System::new(SystemConfig::baseline(), Generator::new(p));
-        base.warm_up(5_000);
-        let rb = base.run(20_000);
-        let mut vsv = System::new(SystemConfig::vsv_with_fsms(), Generator::new(p));
-        vsv.warm_up(5_000);
-        let rv = vsv.run(20_000);
+        let mut base =
+            System::try_new(SystemConfig::baseline(), Generator::new(p)).expect("valid config");
+        base.try_warm_up(5_000).expect("warm-up");
+        let rb = base.try_run(20_000).expect("run");
+        let mut vsv = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(p))
+            .expect("valid config");
+        vsv.try_warm_up(5_000).expect("warm-up");
+        let rv = vsv.try_run(20_000).expect("run");
         // A handful of first-touch hot-set blocks may still miss after
         // warm-up; the twin has no sustained miss traffic though.
         assert!(
@@ -1504,12 +1481,13 @@ mod tests {
 
     #[test]
     fn mode_residency_sums_to_elapsed() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::vsv_without_fsms(),
             Generator::new(memory_bound_params()),
-        );
-        sys.warm_up(5_000);
-        let r = sys.run(20_000);
+        )
+        .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(20_000).expect("run");
         let total: u64 = r.mode.ns_in_mode.iter().sum();
         assert_eq!(total, r.elapsed_ns);
         assert!(r.mode.low_residency() > 0.0, "memory-bound: some low time");
@@ -1522,14 +1500,14 @@ mod tests {
         p.far_fraction = 0.30;
         p.mem_fraction = 0.35;
         let cfg = SystemConfig::baseline();
-        let mut base = System::new(cfg, Generator::new(p));
-        base.warm_up(20_000);
-        let rb = base.run(60_000);
+        let mut base = System::try_new(cfg, Generator::new(p)).expect("valid config");
+        base.try_warm_up(20_000).expect("warm-up");
+        let rb = base.try_run(60_000).expect("run");
 
         let cfg_tk = SystemConfig::baseline().with_timekeeping(true);
-        let mut tk = System::new(cfg_tk, Generator::new(p));
-        tk.warm_up(20_000);
-        let rt = tk.run(60_000);
+        let mut tk = System::try_new(cfg_tk, Generator::new(p)).expect("valid config");
+        tk.try_warm_up(20_000).expect("warm-up");
+        let rt = tk.try_run(60_000).expect("run");
 
         assert!(rb.mpki > 5.0, "stream twin must miss: {}", rb.mpki);
         assert!(
@@ -1542,12 +1520,13 @@ mod tests {
 
     #[test]
     fn warm_up_resets_measurement() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
-        );
-        sys.warm_up(5_000);
-        let r = sys.run(1_000);
+        )
+        .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(1_000).expect("run");
         assert!(
             (1_000..1_008).contains(&r.instructions),
             "window counts only measured insts (8-wide commit may overshoot): {}",
@@ -1568,18 +1547,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid configuration")]
-    fn new_still_panics_on_invalid_config() {
-        let mut cfg = SystemConfig::baseline();
-        cfg.core.issue_width = 0;
-        let _ = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-    }
-
-    #[test]
     fn budget_exhaustion_is_a_typed_error() {
         // A 50-ns budget cannot hold a 20k-instruction window.
         let cfg = SystemConfig::baseline().with_max_sim_ns(Some(50));
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
         sys.set_workload_name("budget");
         let err = sys.try_run(20_000).expect_err("budget too small");
         match err {
@@ -1593,14 +1565,16 @@ mod tests {
         }
         // A generous budget changes nothing.
         let cfg = SystemConfig::baseline().with_max_sim_ns(Some(u64::MAX));
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
         assert!(sys.try_run(5_000).is_ok());
     }
 
     #[test]
     fn injected_deadlock_is_typed_and_carries_the_ring() {
         let cfg = SystemConfig::vsv_with_fsms().with_injected_fault(crate::FaultKind::Deadlock);
-        let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
+        let mut sys =
+            System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
         sys.set_workload_name("membound");
         let err = sys.try_warm_up(5_000).expect_err("fault armed");
         match &err {
@@ -1624,18 +1598,20 @@ mod tests {
     #[should_panic(expected = "injected panic fault")]
     fn injected_panic_panics() {
         let cfg = SystemConfig::baseline().with_injected_fault(crate::FaultKind::Panic);
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-        let _ = sys.run(1_000);
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
+        let _ = sys.try_run(1_000);
     }
 
     #[test]
     fn transition_ring_tracks_mode_changes() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::vsv_with_fsms(),
             Generator::new(memory_bound_params()),
-        );
-        sys.warm_up(5_000);
-        let r = sys.run(20_000);
+        )
+        .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(20_000).expect("run");
         assert!(r.mode.down_transitions > 0, "memory-bound twin must dip");
         // Force a deadlock report and check the ring came along.
         sys.inject_fault = Some(crate::FaultKind::Deadlock);
@@ -1662,7 +1638,8 @@ mod tests {
     fn injected_unrecoverable_read_is_typed_and_counts_the_retries() {
         let cfg =
             SystemConfig::vsv_with_fsms().with_injected_fault(crate::FaultKind::UnrecoverableRead);
-        let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
+        let mut sys =
+            System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
         sys.set_workload_name("membound");
         let err = sys.try_warm_up(5_000).expect_err("fault armed");
         match &err {
@@ -1690,9 +1667,10 @@ mod tests {
             let cfg = SystemConfig::with_policy(PolicySpec::AlwaysHigh)
                 .with_error_rate(rate)
                 .with_error_seed(7);
-            let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
-            sys.warm_up(5_000);
-            sys.run(20_000)
+            let mut sys =
+                System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(20_000).expect("run")
         };
         let off = run(0.0);
         let on = run(0.5);
@@ -1706,8 +1684,9 @@ mod tests {
             .with_error_rate(0.02)
             .with_error_seed(11)
             .with_slo(Some(crate::SloSpec::new(0, 0)));
-        let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
-        sys.warm_up(5_000);
+        let mut sys =
+            System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
         let r = sys.try_run(20_000).expect("no escalation at this rate");
         assert!(
             r.read_retries > 0,
@@ -1727,8 +1706,9 @@ mod tests {
             .with_error_rate(0.02)
             .with_error_seed(11)
             .with_slo(Some(crate::SloSpec::new(1_000_000, 1_000)));
-        let mut sys_ok = System::new(cfg_ok, Generator::new(memory_bound_params()));
-        sys_ok.warm_up(5_000);
+        let mut sys_ok =
+            System::try_new(cfg_ok, Generator::new(memory_bound_params())).expect("valid config");
+        sys_ok.try_warm_up(5_000).expect("warm-up");
         let r_ok = sys_ok.try_run(20_000).expect("no escalation");
         assert!(r_ok.slo.expect("SLO configured").compliant);
         assert_eq!(sys_ok.window_metrics().get(CounterId::SloViolations), 0);
@@ -1749,12 +1729,13 @@ mod tests {
     #[test]
     fn results_are_deterministic() {
         let run = || {
-            let mut sys = System::new(
+            let mut sys = System::try_new(
                 SystemConfig::vsv_with_fsms(),
                 Generator::new(memory_bound_params()),
-            );
-            sys.warm_up(5_000);
-            sys.run(20_000)
+            )
+            .expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(20_000).expect("run")
         };
         let a = run();
         let b = run();
@@ -1767,9 +1748,10 @@ mod tests {
     fn traffic_completes_requests_under_light_load() {
         let spec = crate::TrafficSpec::poisson(0.05, 2_000).with_seed(3);
         let cfg = SystemConfig::baseline().with_traffic(Some(spec));
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-        sys.warm_up(5_000);
-        let r = sys.run(100_000);
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(100_000).expect("run");
         assert!(r.requests_arrived > 0, "arrivals expected over 100k insts");
         assert!(
             r.requests_completed > 0,
@@ -1791,9 +1773,10 @@ mod tests {
         // be dominated by queueing (p99 far above a lone service time).
         let spec = crate::TrafficSpec::poisson(2.0, 50_000).with_seed(3);
         let cfg = SystemConfig::baseline().with_traffic(Some(spec));
-        let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-        sys.warm_up(5_000);
-        let r = sys.run(200_000);
+        let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+            .expect("valid config");
+        sys.try_warm_up(5_000).expect("warm-up");
+        let r = sys.try_run(200_000).expect("run");
         assert!(r.request_backlog > 0, "overload must leave a backlog: {r}");
         assert!(r.requests_arrived > r.requests_completed);
     }
@@ -1805,9 +1788,10 @@ mod tests {
         // counters are bit-identical with traffic on or off.
         let run = |traffic: Option<crate::TrafficSpec>| {
             let cfg = SystemConfig::vsv_with_fsms().with_traffic(traffic);
-            let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
-            sys.warm_up(5_000);
-            sys.run(20_000)
+            let mut sys =
+                System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(20_000).expect("run")
         };
         let off = run(None);
         let on = run(Some(crate::TrafficSpec::mmpp(
@@ -1831,9 +1815,10 @@ mod tests {
             let cfg = SystemConfig::vsv_with_fsms()
                 .with_traffic(Some(spec))
                 .with_fast_forward(ff);
-            let mut sys = System::new(cfg, Generator::new(memory_bound_params()));
-            sys.warm_up(5_000);
-            sys.run(30_000)
+            let mut sys =
+                System::try_new(cfg, Generator::new(memory_bound_params())).expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(30_000).expect("run")
         };
         let stepped = run(false);
         let fast = run(true);
@@ -1850,9 +1835,10 @@ mod tests {
             let cfg = SystemConfig::baseline()
                 .with_traffic(Some(spec))
                 .with_slo(Some(slo));
-            let mut sys = System::new(cfg, Generator::new(WorkloadParams::compute_bound("t")));
-            sys.warm_up(5_000);
-            sys.run(100_000)
+            let mut sys = System::try_new(cfg, Generator::new(WorkloadParams::compute_bound("t")))
+                .expect("valid config");
+            sys.try_warm_up(5_000).expect("warm-up");
+            sys.try_run(100_000).expect("run")
         };
         let strict = run(crate::SloSpec::new(u64::MAX, u64::MAX).with_request_p99(1));
         let slo = strict.slo.expect("SLO configured");
@@ -1876,10 +1862,11 @@ mod trace_tests {
         p.far_fraction = 0.25;
         p.miss_dependency = 1.0;
         p.ilp_chains = 1;
-        let mut sys = System::new(SystemConfig::vsv_with_fsms(), Generator::new(p));
+        let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(p))
+            .expect("valid config");
         sys.enable_trace(50_000);
-        sys.warm_up(5_000);
-        let _ = sys.run(20_000);
+        sys.try_warm_up(5_000).expect("warm-up");
+        sys.try_run(20_000).expect("run");
         let trace = sys.take_trace().expect("tracing was on");
         assert!(!trace.is_empty());
         let modes: std::collections::HashSet<_> = trace.iter().map(|s| s.mode).collect();
@@ -1895,13 +1882,14 @@ mod trace_tests {
 
     #[test]
     fn trace_off_by_default_and_disablable() {
-        let mut sys = System::new(
+        let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
-        );
+        )
+        .expect("valid config");
         assert!(sys.trace().is_none());
         sys.enable_trace(128);
-        let _ = sys.run(1_000);
+        sys.try_run(1_000).expect("run");
         assert!(sys.trace().is_some());
         let t = sys.take_trace().expect("on");
         assert!(t.len() <= 128);

@@ -8,10 +8,10 @@
 //! cargo run --release --example custom_policy
 //! ```
 
-use vsv::{Mode, System, SystemConfig, UpPolicy};
+use vsv::{Mode, SimError, System, SystemConfig, UpPolicy};
 use vsv_isa::{Addr, ArchReg, FnStream, Inst, Pc};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // A tiny kernel: one cold load to far memory, then a dependent
     // chain, looping over fresh far blocks so every lap misses the L2.
     let mut i: u64 = 0;
@@ -32,11 +32,11 @@ fn main() {
     // maximum savings, the aggressive end of Figure 6's spectrum.
     let mut cfg = SystemConfig::vsv_with_fsms();
     cfg.vsv.up = UpPolicy::LastReturn;
-    let mut sys = System::new(cfg, stream);
+    let mut sys = System::try_new(cfg, stream)?;
     sys.set_workload_name("figure-2-3-live");
 
     // Warm the caches for a few laps, then single-step and narrate.
-    sys.warm_up(2_000);
+    sys.try_warm_up(2_000)?;
     println!("mode trajectory around one miss epoch (1 line per mode change):\n");
     let mut last_mode = sys.controller().mode();
     let t0 = sys.now();
@@ -64,4 +64,5 @@ fn main() {
     for m in Mode::ALL {
         println!("  {:?}: clock period {} ns", m, m.clock_period_ns());
     }
+    Ok(())
 }

@@ -11,10 +11,10 @@
 //! cargo run --release --example memory_wall
 //! ```
 
-use vsv::{Comparison, Experiment, SystemConfig};
+use vsv::{Comparison, Experiment, SimError, SystemConfig};
 use vsv_workloads::{AccessPattern, WorkloadParams};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("memory-wall sweep: pointer chase with rising far-access rate\n");
     println!(
         "{:>9} | {:>6} {:>6} {:>7} | {:>7} {:>8} {:>8}",
@@ -36,8 +36,8 @@ fn main() {
         p.miss_dependency = 1.0;
         p.ilp_chains = 2;
 
-        let base = e.run(&p, SystemConfig::baseline());
-        let vsv_run = e.run(&p, SystemConfig::vsv_with_fsms());
+        let (base, _) = e.try_run(&p, SystemConfig::baseline(), None)?;
+        let (vsv_run, _) = e.try_run(&p, SystemConfig::vsv_with_fsms(), None)?;
         let cmp = Comparison::of(&base, &vsv_run);
         println!(
             "{:>9.3} | {:>6.2} {:>6.1} {:>6.0}% | {:>6.0}% {:>7.1}% {:>7.1}%",
@@ -57,4 +57,5 @@ fn main() {
          savings grow while degradation stays small — the paper's key\n\
          claim, reproduced on a workload of your own."
     );
+    Ok(())
 }

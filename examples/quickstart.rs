@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart [twin-name]
 //! ```
 
-use vsv::{Comparison, Experiment, SystemConfig};
+use vsv::{Comparison, Experiment, SimError, SystemConfig};
 use vsv_workloads::twin;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "ammp".to_owned());
     let Some(params) = twin(&name) else {
         eprintln!("unknown twin '{name}'; try one of the SPEC2K names (e.g. mcf, ammp, applu)");
@@ -56,8 +56,8 @@ fn main() {
         "running '{name}' ({} warm-up + {} measured instructions)...",
         e.warmup_instructions, e.instructions
     );
-    let base = e.run(&params, SystemConfig::baseline());
-    let vsv_run = e.run(&params, SystemConfig::vsv_with_fsms());
+    let (base, _) = e.try_run(&params, SystemConfig::baseline(), None)?;
+    let (vsv_run, _) = e.try_run(&params, SystemConfig::vsv_with_fsms(), None)?;
     let cmp = Comparison::of(&base, &vsv_run);
 
     println!("\n== baseline ==");
@@ -93,4 +93,5 @@ fn main() {
         let bar = "#".repeat((frac * 50.0).round() as usize);
         println!("  {n} issued: {:>5.1}%  {bar}", frac * 100.0);
     }
+    Ok(())
 }

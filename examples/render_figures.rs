@@ -6,11 +6,11 @@
 //! cargo run --release --example render_figures [output-dir]
 //! ```
 
-use vsv::{Comparison, Experiment, System, SystemConfig};
+use vsv::{Comparison, Experiment, SimError, System, SystemConfig};
 use vsv_viz::{GroupedBarChart, TimelineChart};
 use vsv_workloads::{twin, Generator};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let out_dir = std::path::PathBuf::from(
         std::env::args()
             .nth(1)
@@ -26,9 +26,9 @@ fn main() {
     let mut rows = Vec::new();
     for name in ["mcf", "ammp", "applu", "gzip"] {
         let params = twin(name).expect("twin exists");
-        let base = e.run(&params, SystemConfig::baseline());
-        let no_fsm = e.run(&params, SystemConfig::vsv_without_fsms());
-        let fsm = e.run(&params, SystemConfig::vsv_with_fsms());
+        let (base, _) = e.try_run(&params, SystemConfig::baseline(), None)?;
+        let (no_fsm, _) = e.try_run(&params, SystemConfig::vsv_without_fsms(), None)?;
+        let (fsm, _) = e.try_run(&params, SystemConfig::vsv_with_fsms(), None)?;
         rows.push((
             name,
             Comparison::of(&base, &no_fsm).power_saving_pct,
@@ -50,13 +50,13 @@ fn main() {
     println!("wrote {}", bar_path.display());
 
     // --- a Figure 2/3 timeline from a live trace ---
-    let mut sys = System::new(
+    let mut sys = System::try_new(
         SystemConfig::vsv_with_fsms(),
         Generator::new(twin("ammp").expect("twin exists")),
-    );
+    )?;
     sys.enable_trace(600);
-    sys.warm_up(20_000);
-    let _ = sys.run(20_000);
+    sys.try_warm_up(20_000)?;
+    sys.try_run(20_000)?;
     let trace = sys.take_trace().expect("tracing enabled");
     let tl_path = out_dir.join("timeline.svg");
     std::fs::write(&tl_path, TimelineChart::new(&trace).render()).expect("write svg");
@@ -66,4 +66,5 @@ fn main() {
          black curve is the pipeline-domain VDD walking the Figure 2/3\n\
          ramps between 1.8 V and 1.2 V."
     );
+    Ok(())
 }

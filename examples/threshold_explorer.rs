@@ -6,11 +6,11 @@
 //! cargo run --release --example threshold_explorer [twin-name]
 //! ```
 
-use vsv::{Comparison, DownPolicy, Experiment, SystemConfig, UpPolicy};
+use vsv::{Comparison, DownPolicy, Experiment, SimError, SystemConfig, UpPolicy};
 use vsv_viz::{TradeoffChart, TradeoffPoint};
 use vsv_workloads::twin;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "lucas".to_owned());
@@ -22,7 +22,7 @@ fn main() {
         warmup_instructions: 50_000,
         instructions: 150_000,
     };
-    let base = e.run(&params, SystemConfig::baseline());
+    let (base, _) = e.try_run(&params, SystemConfig::baseline(), None)?;
     println!(
         "threshold grid for '{name}' (baseline IPC {:.2}, MR {:.1})\n",
         base.ipc, base.mpki
@@ -91,7 +91,7 @@ fn main() {
             let mut cfg = SystemConfig::vsv_with_fsms();
             cfg.vsv.down = *down;
             cfg.vsv.up = *up;
-            let run = e.run(&params, cfg);
+            let (run, _) = e.try_run(&params, cfg, None)?;
             let c = Comparison::of(&base, &run);
             print!(
                 " {:>6.1}w/{:>5.1}p",
@@ -117,4 +117,5 @@ fn main() {
          to grow toward (down=imm, up=Last-R) and degradation to shrink\n\
          toward (down=5, up=First-R); the paper picks (3, 3)."
     );
+    Ok(())
 }

@@ -18,13 +18,14 @@ fn bench_configs(c: &mut Criterion) {
     for name in ["gzip", "ammp"] {
         let params = twin(name).expect("twin exists");
         g.bench_with_input(BenchmarkId::new("baseline", name), &params, |b, p| {
-            b.iter(|| e.run(p, SystemConfig::baseline()));
+            b.iter(|| e.try_run(p, SystemConfig::baseline(), None).expect("run"));
         });
         g.bench_with_input(BenchmarkId::new("vsv-fsm", name), &params, |b, p| {
-            b.iter(|| e.run(p, SystemConfig::vsv_with_fsms()));
+            b.iter(|| e.try_run(p, SystemConfig::vsv_with_fsms(), None).expect("run"));
         });
         g.bench_with_input(BenchmarkId::new("vsv-tk", name), &params, |b, p| {
-            b.iter(|| e.run(p, SystemConfig::vsv_with_fsms().with_timekeeping(true)));
+            let cfg = SystemConfig::vsv_with_fsms().with_timekeeping(true);
+            b.iter(|| e.try_run(p, cfg, None).expect("run"));
         });
     }
     g.finish();

@@ -3,7 +3,7 @@
 //! the bands are generous — the full-scale numbers live in
 //! EXPERIMENTS.md; this test catches calibration-destroying changes.
 
-use vsv::{Experiment, SystemConfig};
+use vsv::{Experiment, SimError, SystemConfig};
 use vsv_workloads::{spec2k_twins, table2_reference};
 
 fn quick() -> Experiment {
@@ -14,11 +14,11 @@ fn quick() -> Experiment {
 }
 
 #[test]
-fn baseline_mr_tracks_table2() {
+fn baseline_mr_tracks_table2() -> Result<(), SimError> {
     let e = quick();
     let refs = table2_reference();
     for (params, paper) in spec2k_twins().iter().zip(&refs) {
-        let r = e.run(params, SystemConfig::baseline());
+        let (r, _) = e.try_run(params, SystemConfig::baseline(), None)?;
         if paper.mr_base >= 1.0 {
             let ratio = r.mpki / paper.mr_base;
             assert!(
@@ -37,14 +37,15 @@ fn baseline_mr_tracks_table2() {
             );
         }
     }
+    Ok(())
 }
 
 #[test]
-fn baseline_ipc_is_in_band() {
+fn baseline_ipc_is_in_band() -> Result<(), SimError> {
     let e = quick();
     let refs = table2_reference();
     for (params, paper) in spec2k_twins().iter().zip(&refs) {
-        let r = e.run(params, SystemConfig::baseline());
+        let (r, _) = e.try_run(params, SystemConfig::baseline(), None)?;
         let ratio = r.ipc / paper.ipc_base;
         assert!(
             (0.4..=2.5).contains(&ratio),
@@ -54,16 +55,17 @@ fn baseline_ipc_is_in_band() {
             paper.ipc_base
         );
     }
+    Ok(())
 }
 
 #[test]
-fn high_mr_classification_matches_paper() {
+fn high_mr_classification_matches_paper() -> Result<(), SimError> {
     // The Figure 4 "left section" must contain exactly the paper's
     // high-MR benchmarks (> 4 misses / 1000 insts).
     let e = quick();
     let refs = table2_reference();
     for (params, paper) in spec2k_twins().iter().zip(&refs) {
-        let r = e.run(params, SystemConfig::baseline());
+        let (r, _) = e.try_run(params, SystemConfig::baseline(), None)?;
         let paper_high = paper.mr_base > 4.0;
         let sim_high = r.mpki > 4.0;
         // Allow only benchmarks sitting right at the boundary to flip.
@@ -75,14 +77,15 @@ fn high_mr_classification_matches_paper() {
             );
         }
     }
+    Ok(())
 }
 
 #[test]
-fn mcf_is_the_most_memory_bound() {
+fn mcf_is_the_most_memory_bound() -> Result<(), SimError> {
     let e = quick();
     let mut worst = ("", 0.0f64);
     for params in spec2k_twins() {
-        let r = e.run(&params, SystemConfig::baseline());
+        let (r, _) = e.try_run(&params, SystemConfig::baseline(), None)?;
         if r.mpki > worst.1 {
             worst = (params.name, r.mpki);
         }
@@ -91,4 +94,5 @@ fn mcf_is_the_most_memory_bound() {
         worst.0, "mcf",
         "mcf must top the MR ordering, got {worst:?}"
     );
+    Ok(())
 }

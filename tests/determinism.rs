@@ -11,7 +11,9 @@ fn run_once(name: &str, cfg: SystemConfig) -> RunResult {
         warmup_instructions: 20_000,
         instructions: 40_000,
     };
-    e.run(&twin(name).expect("twin exists"), cfg)
+    e.try_run(&twin(name).expect("twin exists"), cfg, None)
+        .expect("run")
+        .0
 }
 
 fn assert_identical(a: &RunResult, b: &RunResult) {

@@ -51,7 +51,7 @@ fn injected_deadlock_is_a_typed_error_not_an_abort() {
     let e = quick();
     let p = twin("gzip").expect("gzip exists");
     let cfg = SystemConfig::baseline().with_injected_fault(FaultKind::Deadlock);
-    let err = e.try_run(&p, cfg).expect_err("fault armed");
+    let err = e.try_run(&p, cfg, None).expect_err("fault armed");
     assert_eq!(err.kind(), "deadlock");
     let rendered = err.to_string();
     assert!(rendered.contains("deadlock"), "{rendered}");
@@ -64,7 +64,7 @@ fn budget_exhaustion_is_a_typed_error() {
     let e = quick();
     let p = twin("gzip").expect("gzip exists");
     let cfg = SystemConfig::baseline().with_max_sim_ns(Some(50));
-    let err = e.try_run(&p, cfg).expect_err("budget too small");
+    let err = e.try_run(&p, cfg, None).expect_err("budget too small");
     assert_eq!(err.kind(), "budget-exhausted");
     assert!(err.to_string().contains("50"), "{err}");
 }

@@ -7,8 +7,8 @@
 //! depth-1 ladder.
 
 use vsv::{
-    DownFsm, DownPolicy, Experiment, Mode, PolicySpec, SystemConfig, UpFsm, UpPolicy, VsvConfig,
-    VsvController,
+    DownFsm, DownPolicy, Experiment, Mode, PolicySpec, SimError, SystemConfig, UpFsm, UpPolicy,
+    VsvConfig, VsvController,
 };
 use vsv_mem::VsvSignal;
 use vsv_workloads::twin;
@@ -311,7 +311,7 @@ fn chained_double_step_outruns_back_to_back_single_steps() {
 /// `ladder-fsm` is exactly `always-high`, from the controller's mode
 /// sequence up to a full simulated run.
 #[test]
-fn depth_1_ladder_fsm_is_identical_to_always_high() {
+fn depth_1_ladder_fsm_is_identical_to_always_high() -> Result<(), SimError> {
     // Controller level: same signals, same idle pipeline — never
     // leaves High, never charges a ramp.
     let mut c =
@@ -325,11 +325,16 @@ fn depth_1_ladder_fsm_is_identical_to_always_high() {
     // System level: bit-identical results on a memory-bound twin.
     let params = twin("mcf").expect("twin exists");
     let e = Experiment::quick();
-    let ladder = e.run(
+    let (ladder, _) = e.try_run(
         &params,
         SystemConfig::with_policy(PolicySpec::LadderFsm).with_ladder_depth(1),
-    );
-    let high = e.run(&params, SystemConfig::with_policy(PolicySpec::AlwaysHigh));
+        None,
+    )?;
+    let (high, _) = e.try_run(
+        &params,
+        SystemConfig::with_policy(PolicySpec::AlwaysHigh),
+        None,
+    )?;
     assert_eq!(
         ladder.elapsed_ns, high.elapsed_ns,
         "depth-1 ladder changed the execution time"
@@ -339,4 +344,5 @@ fn depth_1_ladder_fsm_is_identical_to_always_high() {
         "depth-1 ladder changed the energy"
     );
     assert_eq!(ladder.mode, high.mode, "depth-1 ladder left High");
+    Ok(())
 }

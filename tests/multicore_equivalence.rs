@@ -42,11 +42,11 @@ fn every_policy_at_depth(depth: usize) -> Vec<SystemConfig> {
 /// Plain single-core reference, trace on.
 fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut sys = System::new(cfg, Generator::new(params));
+    let mut sys = System::try_new(cfg, Generator::new(params)).expect("valid config");
     sys.set_workload_name(params.name);
     sys.enable_trace(TRACE_CAP);
-    sys.warm_up(e.warmup_instructions);
-    let result = sys.run(e.instructions);
+    sys.try_warm_up(e.warmup_instructions).expect("warm-up");
+    let result = sys.try_run(e.instructions).expect("run");
     let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }
@@ -160,7 +160,7 @@ fn one_core_chip_is_bit_identical_on_deep_ladders_under_errors_and_traffic() {
 /// stepped, and the reported window is empty — on the plain system
 /// and on a one-core chip alike, before and after real work.
 #[test]
-fn zero_length_windows_close_without_stepping() {
+fn zero_length_windows_close_without_stepping() -> Result<(), SimError> {
     let params = twin("mcf").expect("twin exists");
     let assert_empty = |r: &RunResult, label: &str| {
         assert_eq!(r.instructions, 0, "{label}");
@@ -170,13 +170,13 @@ fn zero_length_windows_close_without_stepping() {
     };
     for ff in [true, false] {
         let cfg = SystemConfig::vsv_with_fsms().with_fast_forward(ff);
-        let mut sys = System::new(cfg, Generator::new(params));
+        let mut sys = System::try_new(cfg, Generator::new(params))?;
         for warm in [0, 2_000] {
-            sys.warm_up(warm);
+            sys.try_warm_up(warm)?;
             let at = sys.now();
-            sys.warm_up(0);
+            sys.try_warm_up(0)?;
             assert_eq!(sys.now(), at, "warm_up(0) stepped the system (ff {ff})");
-            let r = sys.run(0);
+            let r = sys.try_run(0)?;
             assert_eq!(sys.now(), at, "run(0) stepped the system (ff {ff})");
             assert_empty(&r, &format!("system after {warm} (ff {ff})"));
             assert_eq!(sys.window_metrics().get(CounterId::Windows), 1);
@@ -195,24 +195,26 @@ fn zero_length_windows_close_without_stepping() {
             assert_eq!(r.core_results.len(), 1);
         }
     }
+    Ok(())
 }
 
 /// The runner's dispatch: `--cores 1` takes the pre-multicore path,
 /// so results are byte-identical with fast-forward on or off.
 #[test]
-fn runner_with_cores_1_is_byte_identical() {
+fn runner_with_cores_1_is_byte_identical() -> Result<(), SimError> {
     for fast_forward in [true, false] {
         for name in ["mcf", "gzip"] {
             let params = twin(name).expect("twin exists");
             let cfg = SystemConfig::vsv_with_fsms().with_fast_forward(fast_forward);
-            let before = Experiment::quick().run(&params, cfg);
-            let after = Experiment::quick().run(&params, cfg.with_cores(1));
+            let (before, _) = Experiment::quick().try_run(&params, cfg, None)?;
+            let (after, _) = Experiment::quick().try_run(&params, cfg.with_cores(1), None)?;
             assert_eq!(
                 before, after,
                 "cores = 1 changed the runner output on {name} (fast_forward = {fast_forward})"
             );
         }
     }
+    Ok(())
 }
 
 // ---- sweep-report digest --------------------------------------------

@@ -46,7 +46,10 @@ fn ilp_covered_misses() -> WorkloadParams {
 }
 
 fn run(params: &WorkloadParams, cfg: SystemConfig) -> RunResult {
-    Experiment::quick().run(params, cfg)
+    Experiment::quick()
+        .try_run(params, cfg, None)
+        .expect("run")
+        .0
 }
 
 /// Runs with tracing on and the given fast-forward setting.
@@ -56,11 +59,12 @@ fn run_traced(
     fast_forward: bool,
 ) -> (RunResult, ModeTrace) {
     let e = Experiment::quick();
-    let mut sys = System::new(cfg.with_fast_forward(fast_forward), Generator::new(params));
+    let mut sys = System::try_new(cfg.with_fast_forward(fast_forward), Generator::new(params))
+        .expect("valid config");
     sys.set_workload_name(params.name);
     sys.enable_trace(TRACE_CAP);
-    sys.warm_up(e.warmup_instructions);
-    let result = sys.run(e.instructions);
+    sys.try_warm_up(e.warmup_instructions).expect("warm-up");
+    let result = sys.try_run(e.instructions).expect("run");
     let trace = sys.take_trace().expect("tracing was on");
     (result, trace)
 }

@@ -12,6 +12,9 @@
 //! 3. error rate 0 is free: the run (and its trace) is bit-identical
 //!    to one that never heard of the error model.
 
+mod common;
+
+use common::run_traced;
 use vsv::{Experiment, PolicySpec, SloSpec, Sweep, SystemConfig, TraceLevel};
 use vsv_workloads::twin;
 
@@ -46,12 +49,8 @@ fn erroring(cfg: SystemConfig) -> SystemConfig {
 fn fixed_seed_reproduces_retry_counts_and_trace_bytes() {
     let e = experiment();
     let cfg = erroring(SystemConfig::vsv_with_fsms());
-    let (r1, m1, t1) = e
-        .try_run_traced(&params(), cfg, TraceLevel::Events, None)
-        .expect("first run");
-    let (r2, m2, t2) = e
-        .try_run_traced(&params(), cfg, TraceLevel::Events, None)
-        .expect("second run");
+    let (r1, m1, t1) = run_traced(&e, &params(), cfg, TraceLevel::Events).expect("first run");
+    let (r2, m2, t2) = run_traced(&e, &params(), cfg, TraceLevel::Events).expect("second run");
     assert!(r1.read_errors > 0, "error path never fired — dead test");
     assert!(r1.read_retries >= r1.read_errors);
     assert!(r1.slo.is_some(), "SLO judgment missing");
@@ -106,22 +105,20 @@ fn fast_forward_is_exact_under_errors() {
             erroring(SystemConfig::with_policy(PolicySpec::ErrorBackoff).with_ladder_depth(4)),
         ),
     ] {
-        let (on, m_on, t_on) = e
-            .try_run_traced(
-                &params(),
-                cfg.with_fast_forward(true),
-                TraceLevel::Events,
-                None,
-            )
-            .expect("ff-on run");
-        let (off, m_off, t_off) = e
-            .try_run_traced(
-                &params(),
-                cfg.with_fast_forward(false),
-                TraceLevel::Events,
-                None,
-            )
-            .expect("ff-off run");
+        let (on, m_on, t_on) = run_traced(
+            &e,
+            &params(),
+            cfg.with_fast_forward(true),
+            TraceLevel::Events,
+        )
+        .expect("ff-on run");
+        let (off, m_off, t_off) = run_traced(
+            &e,
+            &params(),
+            cfg.with_fast_forward(false),
+            TraceLevel::Events,
+        )
+        .expect("ff-off run");
         assert!(on.read_errors > 0, "{label}: error path never fired");
         assert_eq!(on, off, "{label}: results diverged with fast-forward");
         // The ff-on stream differs only in fast-forward's own
@@ -177,12 +174,10 @@ fn error_rate_zero_is_the_unperturbed_run() {
     let zeroed = SystemConfig::vsv_with_fsms()
         .with_error_rate(0.0)
         .with_error_seed(ERROR_SEED);
-    let (r_plain, m_plain, t_plain) = e
-        .try_run_traced(&params(), plain, TraceLevel::Events, None)
-        .expect("plain run");
-    let (r_zero, m_zero, t_zero) = e
-        .try_run_traced(&params(), zeroed, TraceLevel::Events, None)
-        .expect("zero-rate run");
+    let (r_plain, m_plain, t_plain) =
+        run_traced(&e, &params(), plain, TraceLevel::Events).expect("plain run");
+    let (r_zero, m_zero, t_zero) =
+        run_traced(&e, &params(), zeroed, TraceLevel::Events).expect("zero-rate run");
     assert_eq!(r_zero.read_errors, 0);
     assert_eq!(r_zero.read_retries, 0);
     assert_eq!(r_plain, r_zero, "error rate 0 perturbed the simulation");
@@ -196,10 +191,11 @@ fn always_high_never_errors() {
     // *exactly* zero — the structural reliability ceiling the
     // frontier bench leans on.
     let e = experiment();
-    let r = e
+    let (r, _) = e
         .try_run(
             &params(),
             erroring(SystemConfig::with_policy(PolicySpec::AlwaysHigh)),
+            None,
         )
         .expect("always-high run");
     assert_eq!(r.read_errors, 0, "errors at VDDH");

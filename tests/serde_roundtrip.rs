@@ -2,7 +2,7 @@
 //! (the optional `serde` feature): a configuration written by one tool
 //! must be readable by another without loss.
 
-use vsv::{Comparison, DownPolicy, Experiment, SystemConfig, UpPolicy, VsvConfig};
+use vsv::{Comparison, DownPolicy, Experiment, SimError, SystemConfig, UpPolicy, VsvConfig};
 use vsv_workloads::{twin, WorkloadParams};
 
 #[test]
@@ -47,7 +47,7 @@ fn policies_round_trip_with_field_names() {
 }
 
 #[test]
-fn run_results_serialize_for_downstream_tooling() {
+fn run_results_serialize_for_downstream_tooling() -> Result<(), SimError> {
     let e = Experiment {
         warmup_instructions: 5_000,
         instructions: 10_000,
@@ -57,11 +57,12 @@ fn run_results_serialize_for_downstream_tooling() {
         &params,
         SystemConfig::baseline(),
         SystemConfig::vsv_with_fsms(),
-    );
+    )?;
     let json = serde_json::to_string(&vsv_run).expect("RunResult serializes");
     assert!(json.contains("avg_power_w"));
     let cmp_json = serde_json::to_string(&cmp).expect("Comparison serializes");
     let back: Comparison = serde_json::from_str(&cmp_json).expect("deserialize");
     assert_eq!(cmp, back);
     let _ = base;
+    Ok(())
 }

@@ -1,11 +1,11 @@
 //! Serial/parallel equivalence for the sweep engine: a [`Sweep`] with
 //! one worker, a sweep with many workers, and a plain serial loop over
-//! [`Experiment::run`] must produce bit-identical results, in the same
+//! [`Experiment::try_run`] must produce bit-identical results, in the same
 //! (grid) order, regardless of how the scheduler interleaves jobs.
 //! This is the determinism guarantee DESIGN.md documents for the
 //! engine; the field list matches `tests/determinism.rs`.
 
-use vsv::{Experiment, RunResult, Sweep, SystemConfig};
+use vsv::{Experiment, RunResult, SimError, Sweep, SystemConfig};
 use vsv_workloads::twin;
 
 fn grid() -> (
@@ -43,13 +43,13 @@ fn assert_identical(a: &RunResult, b: &RunResult) {
 }
 
 #[test]
-fn one_worker_matches_serial_loop() {
+fn one_worker_matches_serial_loop() -> Result<(), SimError> {
     let (e, twins, configs) = grid();
     // The reference: a plain serial loop in grid (params-major) order.
     let mut serial = Vec::new();
     for p in &twins {
         for c in &configs {
-            serial.push(e.run(p, *c));
+            serial.push(e.try_run(p, *c, None)?.0);
         }
     }
     let swept = Sweep::over_grid(e, &twins, &configs).run(1);
@@ -61,6 +61,7 @@ fn one_worker_matches_serial_loop() {
     // The derived structs are fully comparable too: nothing about
     // engine execution may perturb any field.
     assert_eq!(serial, swept);
+    Ok(())
 }
 
 #[test]

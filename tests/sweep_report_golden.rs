@@ -5,7 +5,7 @@
 //! simulation itself must show up here as a deliberate golden update,
 //! not a silent drift — same contract as `tests/golden_workloads.rs`.
 
-use vsv::{Experiment, Sweep, SweepReport, SystemConfig};
+use vsv::{Experiment, Sweep, SweepReport, SystemConfig, TraceLevel};
 use vsv_workloads::twin;
 
 /// The fixed 2-job sweep: gzip under baseline and VSV-with-FSMs at
@@ -140,8 +140,63 @@ fn report_shape_is_stable() {
     );
 }
 
+/// The per-job JSONL trace buffers of a fixed 2-job traced sweep:
+/// mcf under VSV-with-FSMs on one core and on a 2-core chip, so the
+/// bytes cover both the `job_start` header and the chip's per-core
+/// `core_start` replay.
+fn traced_sweep_bytes() -> Vec<Vec<u8>> {
+    let sweep = Sweep::over_cores(
+        Experiment {
+            warmup_instructions: 5_000,
+            instructions: 15_000,
+        },
+        &[twin("mcf").expect("mcf exists")],
+        SystemConfig::vsv_with_fsms(),
+        &[1, 2],
+    );
+    sweep.report_traced(2, TraceLevel::Events).1
+}
+
+/// The pinned digest of the traced sweep's concatenated JSONL bytes.
+/// Regenerate as for [`PINNED_DIGEST`] (the `print_digest` helper
+/// prints both).
+const PINNED_TRACE_DIGEST: u64 = 0xdd75_e0bf_9878_284a;
+
 #[test]
-#[ignore = "helper: prints the digest for updating PINNED_DIGEST"]
+fn traced_sweep_jsonl_matches_pinned_digest() {
+    let traces = traced_sweep_bytes();
+    assert_eq!(traces.len(), 2);
+    let single = String::from_utf8(traces[0].clone()).expect("utf-8 trace");
+    let chip = String::from_utf8(traces[1].clone()).expect("utf-8 trace");
+    for (name, text) in [("single-core", &single), ("2-core", &chip)] {
+        let first = text.lines().next().expect("non-empty trace");
+        assert!(
+            first.contains("JobStart"),
+            "{name} trace opens with {first}"
+        );
+    }
+    assert!(
+        !single.contains("CoreStart"),
+        "single-core trace has no core markers"
+    );
+    assert_eq!(
+        chip.matches("CoreStart").count(),
+        2,
+        "one marker per chip core"
+    );
+    let got = digest(&String::from_utf8(traces.concat()).expect("utf-8 trace"));
+    assert_eq!(
+        got, PINNED_TRACE_DIGEST,
+        "traced-sweep JSONL bytes changed — deliberate trace/simulation change? \
+         (new digest: {got:#018x})"
+    );
+}
+
+#[test]
+#[ignore = "helper: prints the digests for updating PINNED_DIGEST and PINNED_TRACE_DIGEST"]
 fn print_digest() {
     println!("PINNED_DIGEST: {:#018x}", digest(&pinned_json()));
+    let traces = traced_sweep_bytes().concat();
+    let text = String::from_utf8(traces).expect("utf-8 trace");
+    println!("PINNED_TRACE_DIGEST: {:#018x}", digest(&text));
 }

@@ -2,7 +2,7 @@
 //! timelines through the public `System` API, by single-stepping the
 //! nanosecond clock around an isolated L2 miss.
 
-use vsv::{Mode, System, SystemConfig, UpPolicy};
+use vsv::{Mode, SimError, System, SystemConfig, UpPolicy};
 use vsv_isa::{Addr, ArchReg, FnStream, Inst, Pc};
 
 /// One cold far load per 64-instruction lap; everything else is a
@@ -39,11 +39,11 @@ fn trajectory(
 }
 
 #[test]
-fn down_transition_walks_distribute_then_ramp_then_low() {
+fn down_transition_walks_distribute_then_ramp_then_low() -> Result<(), SimError> {
     let mut cfg = SystemConfig::vsv_with_fsms();
     cfg.vsv.up = UpPolicy::LastReturn;
-    let mut sys = System::new(cfg, lonely_miss_stream());
-    sys.warm_up(1_000);
+    let mut sys = System::try_new(cfg, lonely_miss_stream())?;
+    sys.try_warm_up(1_000)?;
     let traj = trajectory(&mut sys, 2_000);
 
     // Find a High → DownDistribute → RampDown → Low run.
@@ -64,14 +64,15 @@ fn down_transition_walks_distribute_then_ramp_then_low() {
         }
     }
     assert!(found, "no complete down transition observed in {modes:?}");
+    Ok(())
 }
 
 #[test]
-fn up_transition_walks_distribute_then_ramp_then_high() {
+fn up_transition_walks_distribute_then_ramp_then_high() -> Result<(), SimError> {
     let mut cfg = SystemConfig::vsv_with_fsms();
     cfg.vsv.up = UpPolicy::LastReturn;
-    let mut sys = System::new(cfg, lonely_miss_stream());
-    sys.warm_up(1_000);
+    let mut sys = System::try_new(cfg, lonely_miss_stream())?;
+    sys.try_warm_up(1_000)?;
     let traj = trajectory(&mut sys, 2_000);
 
     let modes: Vec<Mode> = traj.iter().map(|(_, m)| *m).collect();
@@ -92,15 +93,17 @@ fn up_transition_walks_distribute_then_ramp_then_high() {
         }
     }
     assert!(found, "no complete up transition observed in {modes:?}");
+    Ok(())
 }
 
 #[test]
-fn miss_epochs_recur_every_lap() {
+fn miss_epochs_recur_every_lap() -> Result<(), SimError> {
     let mut cfg = SystemConfig::vsv_with_fsms();
     cfg.vsv.up = UpPolicy::LastReturn;
-    let mut sys = System::new(cfg, lonely_miss_stream());
-    sys.warm_up(1_000);
+    let mut sys = System::try_new(cfg, lonely_miss_stream())?;
+    sys.try_warm_up(1_000)?;
     let traj = trajectory(&mut sys, 4_000);
     let lows = traj.iter().filter(|(_, m)| *m == Mode::Low).count();
     assert!(lows >= 3, "expected repeated low-power epochs, got {lows}");
+    Ok(())
 }

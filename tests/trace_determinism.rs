@@ -13,6 +13,9 @@
 //!    stream carries the structure the summarizer relies on (a
 //!    seeding `ModeEntered` first, one `WindowClosed` last).
 
+mod common;
+
+use common::run_traced;
 use vsv::{Experiment, MetricsRegistry, NullSink, Sweep, SystemConfig, TraceEvent, TraceLevel};
 use vsv_workloads::twin;
 
@@ -37,12 +40,10 @@ fn jsonl_bytes_are_identical_across_runs() {
         TraceLevel::Events,
         TraceLevel::Full,
     ] {
-        let (r1, m1, t1) = e
-            .try_run_traced(&params(), SystemConfig::vsv_with_fsms(), level, None)
-            .expect("first run");
-        let (r2, m2, t2) = e
-            .try_run_traced(&params(), SystemConfig::vsv_with_fsms(), level, None)
-            .expect("second run");
+        let (r1, m1, t1) =
+            run_traced(&e, &params(), SystemConfig::vsv_with_fsms(), level).expect("first run");
+        let (r2, m2, t2) =
+            run_traced(&e, &params(), SystemConfig::vsv_with_fsms(), level).expect("second run");
         assert_eq!(r1, r2, "results diverged at {level:?}");
         assert_eq!(m1, m2, "metrics diverged at {level:?}");
         assert!(!t1.is_empty(), "no trace bytes at {level:?}");
@@ -81,12 +82,12 @@ fn traced_sweep_is_worker_count_independent() {
 fn null_sink_is_transparent() {
     let e = experiment();
     for cfg in [SystemConfig::baseline(), SystemConfig::vsv_with_fsms()] {
-        let plain = e.try_run(&params(), cfg).expect("plain run");
+        let (plain, _) = e.try_run(&params(), cfg, None).expect("plain run");
         let (instrumented, metrics) = e
-            .try_run_instrumented(
+            .try_run(
                 &params(),
                 cfg,
-                Some((TraceLevel::Events, Box::new(NullSink), None)),
+                Some((TraceLevel::Events, Box::new(NullSink))),
             )
             .expect("instrumented run");
         assert_eq!(plain, instrumented, "NullSink changed simulated results");
@@ -97,13 +98,9 @@ fn null_sink_is_transparent() {
 #[test]
 fn metrics_ride_along_without_changing_results() {
     let e = experiment();
-    let plain = e
-        .try_run(&params(), SystemConfig::vsv_with_fsms())
-        .expect("plain");
     let (with_metrics, metrics) = e
-        .try_run_with_metrics(&params(), SystemConfig::vsv_with_fsms())
+        .try_run(&params(), SystemConfig::vsv_with_fsms(), None)
         .expect("metrics run");
-    assert_eq!(plain, with_metrics);
     // The counters agree with the result's own accounting.
     assert_eq!(
         metrics.get(vsv::CounterId::DownTransitions),
@@ -119,14 +116,13 @@ fn metrics_ride_along_without_changing_results() {
 #[test]
 fn every_line_parses_and_the_stream_is_well_formed() {
     let e = experiment();
-    let (result, _, bytes) = e
-        .try_run_traced(
-            &params(),
-            SystemConfig::vsv_with_fsms(),
-            TraceLevel::Events,
-            None,
-        )
-        .expect("traced run");
+    let (result, _, bytes) = run_traced(
+        &e,
+        &params(),
+        SystemConfig::vsv_with_fsms(),
+        TraceLevel::Events,
+    )
+    .expect("traced run");
     let text = String::from_utf8(bytes).expect("trace is UTF-8");
     assert!(text.ends_with('\n'), "trace ends with a newline");
     let events: Vec<TraceEvent> = text

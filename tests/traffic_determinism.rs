@@ -16,6 +16,9 @@
 //!    simulated timing, energy, and mode residency bit-identical to a
 //!    run that never heard of it.
 
+mod common;
+
+use common::run_traced;
 use vsv::{Experiment, Sweep, SystemConfig, TraceLevel, TrafficSpec};
 use vsv_workloads::twin;
 
@@ -59,12 +62,8 @@ fn request_lines(bytes: &[u8]) -> String {
 fn fixed_seed_reproduces_request_traces_and_histograms() {
     let e = experiment();
     let cfg = SystemConfig::vsv_with_fsms().with_traffic(Some(bursty()));
-    let (r1, m1, t1) = e
-        .try_run_traced(&params(), cfg, TraceLevel::Events, None)
-        .expect("first run");
-    let (r2, m2, t2) = e
-        .try_run_traced(&params(), cfg, TraceLevel::Events, None)
-        .expect("second run");
+    let (r1, m1, t1) = run_traced(&e, &params(), cfg, TraceLevel::Events).expect("first run");
+    let (r2, m2, t2) = run_traced(&e, &params(), cfg, TraceLevel::Events).expect("second run");
     assert!(
         r1.requests_arrived > 0,
         "no request ever arrived — dead test"
@@ -120,22 +119,20 @@ fn fast_forward_is_exact_under_traffic() {
     // request-event bytes.
     let e = experiment();
     let cfg = SystemConfig::vsv_with_fsms().with_traffic(Some(bursty()));
-    let (on, m_on, t_on) = e
-        .try_run_traced(
-            &params(),
-            cfg.with_fast_forward(true),
-            TraceLevel::Events,
-            None,
-        )
-        .expect("ff-on run");
-    let (off, m_off, t_off) = e
-        .try_run_traced(
-            &params(),
-            cfg.with_fast_forward(false),
-            TraceLevel::Events,
-            None,
-        )
-        .expect("ff-off run");
+    let (on, m_on, t_on) = run_traced(
+        &e,
+        &params(),
+        cfg.with_fast_forward(true),
+        TraceLevel::Events,
+    )
+    .expect("ff-on run");
+    let (off, m_off, t_off) = run_traced(
+        &e,
+        &params(),
+        cfg.with_fast_forward(false),
+        TraceLevel::Events,
+    )
+    .expect("ff-off run");
     assert!(
         on.requests_completed > 0,
         "no request completed — dead test"
@@ -167,9 +164,9 @@ fn traffic_never_perturbs_the_simulation() {
     // with or without a stream attached.
     let e = experiment();
     for cfg in [SystemConfig::baseline(), SystemConfig::vsv_with_fsms()] {
-        let plain = e.try_run(&params(), cfg).expect("plain run");
-        let loaded = e
-            .try_run(&params(), cfg.with_traffic(Some(bursty())))
+        let (plain, _) = e.try_run(&params(), cfg, None).expect("plain run");
+        let (loaded, _) = e
+            .try_run(&params(), cfg.with_traffic(Some(bursty())), None)
             .expect("loaded run");
         assert_eq!(plain.elapsed_ns, loaded.elapsed_ns, "traffic changed time");
         assert_eq!(
@@ -195,8 +192,8 @@ fn overload_builds_backlog_deterministically() {
     let e = experiment();
     let cfg = SystemConfig::vsv_with_fsms()
         .with_traffic(Some(TrafficSpec::poisson(2.0, 50_000).with_seed(3)));
-    let r1 = e.try_run(&params(), cfg).expect("first run");
-    let r2 = e.try_run(&params(), cfg).expect("second run");
+    let (r1, _) = e.try_run(&params(), cfg, None).expect("first run");
+    let (r2, _) = e.try_run(&params(), cfg, None).expect("second run");
     assert!(r1.request_backlog > 0, "overload never queued — dead test");
     assert!(r1.requests_arrived > r1.requests_completed);
     assert_eq!(r1, r2, "backlog diverged under a fixed seed");
