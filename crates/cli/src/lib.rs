@@ -321,6 +321,15 @@ impl Command {
                 None => return Err("campaign needs a subcommand: plan | run | merge".to_owned()),
             }
         }
+        let verb = match (cmd.as_str(), &campaign_sub) {
+            ("trace", _) if summarize => "trace summarize".to_owned(),
+            ("campaign", Some(sub)) => format!("campaign {sub}"),
+            ("--help" | "-h", _) => "help".to_owned(),
+            (other, _) => other.to_owned(),
+        };
+        let Some(&(_, takes_grid, own_flags)) = VERB_FLAGS.iter().find(|(v, ..)| *v == verb) else {
+            return Err(format!("unknown command '{cmd}'"));
+        };
         let mut twin_name: Option<String> = None;
         let mut config = ConfigKind::Baseline;
         let mut timekeeping = false;
@@ -356,7 +365,13 @@ impl Command {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         while let Some(arg) = it.next() {
-            match arg.as_str() {
+            let flag = arg.as_str();
+            let applies = lists(own_flags, flag) || takes_grid && lists(GRID_FLAGS, flag);
+            let is_flag = lists(GRID_FLAGS, flag) || VERB_FLAGS.iter().any(|v| lists(v.2, flag));
+            if !applies && is_flag {
+                return Err(format!("{flag} does not apply to {verb}"));
+            }
+            match flag {
                 "--twin" => twin_name = Some(next_value("--twin", &mut it)?),
                 "--config" => config = ConfigKind::parse(&next_value("--config", &mut it)?)?,
                 "--tk" => timekeeping = true,
@@ -604,9 +619,49 @@ impl Command {
                 ns,
                 svg,
             }),
-            other => Err(format!("unknown command '{other}'")),
+            _ => unreachable!("every verb in VERB_FLAGS is matched"),
         }
     }
+}
+
+/// The grid-defining flags [`GridSpec`] carries, shared by `sweep` and
+/// the `campaign` verbs.
+const GRID_FLAGS: &str =
+    "--twin --policy --ladder --cores --tk --insts --warmup --error-rate --slo --traffic";
+
+/// The flags each verb accepts: `(verb, takes the grid flags, its own
+/// flags)`, as its [`USAGE`] line documents them (plus `campaign
+/// plan --json`). A flag that only another verb takes is a usage
+/// error naming the flag and the verb, never silently ignored.
+const VERB_FLAGS: [(&str, bool, &str); 11] = [
+    ("help", false, ""),
+    ("list", false, ""),
+    ("workloads", false, "--cores"),
+    ("run", false, "--twin --config --tk --insts --warmup --json"),
+    (
+        "compare",
+        false,
+        "--twin --policies --ladders --cores --tk --insts --warmup --workers --json",
+    ),
+    (
+        "sweep",
+        true,
+        "--workers --json --checkpoint --resume --trace --trace-level --inject-fault",
+    ),
+    ("trace", false, "--twin --ns --svg"),
+    ("trace summarize", false, "--input"),
+    ("campaign plan", true, "--shards --json"),
+    (
+        "campaign run",
+        true,
+        "--shard --shards --out --fresh --workers --inject-fault",
+    ),
+    ("campaign merge", true, "--inputs --out --shards --workers"),
+];
+
+/// Whether the space-separated flag list `flags` contains `flag`.
+fn lists(flags: &str, flag: &str) -> bool {
+    flags.split_whitespace().any(|f| f == flag)
 }
 
 /// Usage text.
@@ -882,35 +937,55 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
                 warmup_instructions: warmup,
                 instructions: insts,
             };
-            if !cores.is_empty() {
-                return cross_cores_compare(
-                    e,
-                    params,
-                    &cores,
-                    timekeeping,
-                    resolve_workers(workers),
-                    json,
-                );
-            }
-            if !ladders.is_empty() {
-                return cross_ladder_compare(
-                    e,
-                    params,
-                    &ladders,
-                    timekeeping,
-                    resolve_workers(workers),
-                    json,
-                );
-            }
-            if !policies.is_empty() {
-                return cross_policy_compare(
-                    e,
-                    params,
-                    &policies,
-                    timekeeping,
-                    resolve_workers(workers),
-                    json,
-                );
+            let tk = |c: SystemConfig| c.with_timekeeping(timekeeping);
+            // `--policies` and `--ladders`: the baseline, then one
+            // variant per entry, each judged against that baseline.
+            let one_baseline = |variants: Vec<(String, SystemConfig)>| {
+                let mut configs = vec![tk(SystemConfig::baseline())];
+                let mut rows = vec![("disabled".to_owned(), 0, 0)];
+                for (i, (label, cfg)) in variants.into_iter().enumerate() {
+                    configs.push(tk(cfg));
+                    rows.push((label, 0, i + 1));
+                }
+                (configs, rows)
+            };
+            let table = if !cores.is_empty() {
+                // One baseline-vs-`dual-fsm` pair per core count: each
+                // VSV row is judged against the *equally contended*
+                // baseline, isolating the policy from the shared-L2
+                // slowdown.
+                let configs = cores
+                    .iter()
+                    .flat_map(|&n| {
+                        [SystemConfig::baseline(), SystemConfig::vsv_with_fsms()]
+                            .map(|c| tk(c).with_cores(n))
+                    })
+                    .collect();
+                let rows = cores
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| (format!("dual-fsm@c{n}"), 2 * i, 2 * i + 1))
+                    .collect();
+                let note = "(each row compares dual-fsm to the baseline at the same core count, \
+                            both contended on the shared L2)\n";
+                Some(("cores", (configs, rows), note))
+            } else if !ladders.is_empty() {
+                let variants = ladders.iter().map(|&d| {
+                    let cfg = SystemConfig::with_policy(PolicySpec::LadderFsm).with_ladder_depth(d);
+                    (format!("ladder-fsm@d{d}"), cfg)
+                });
+                Some(("ladder", one_baseline(variants.collect()), ""))
+            } else if !policies.is_empty() {
+                let variants = policies
+                    .iter()
+                    .map(|&p| (p.name().to_owned(), SystemConfig::with_policy(p)));
+                Some(("policy", one_baseline(variants.collect()), ""))
+            } else {
+                None
+            };
+            if let Some((axis, (configs, rows), note)) = table {
+                let sweep = Sweep::over_grid(e, &[params], &configs);
+                return compare_table(sweep, axis, rows, note, resolve_workers(workers), json);
             }
             // A compare is a two-job sweep: baseline then variant.
             let sweep = Sweep::over_grid(
@@ -1204,12 +1279,12 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
     }
 }
 
-/// One row of the cross-policy comparison: the paper's headline
-/// metrics plus energy-delay product, relative to the same baseline
-/// run.
+/// One row of a `compare` axis table: the paper's headline metrics
+/// plus energy-delay product, relative to the row's baseline run.
 #[derive(Debug, serde::Serialize)]
-struct PolicyRow {
-    /// Policy name (`"disabled"` for the baseline row).
+struct CompareRow {
+    /// Row label: the policy name, `ladder-fsm@dD` or `dual-fsm@cN`
+    /// (`"disabled"` for the baseline row).
     policy: String,
     /// Simulated time for the measured window (ns).
     elapsed_ns: u64,
@@ -1223,175 +1298,40 @@ struct PolicyRow {
     power_saving_pct: f64,
 }
 
-/// Runs `baseline` plus one VSV config per requested policy on one
-/// twin (a `1 × (1 + P)` sweep grid) and renders the per-policy
-/// energy/EDP/slowdown table (or its JSON rows).
-fn cross_policy_compare(
-    e: Experiment,
-    params: vsv_workloads::WorkloadParams,
-    policies: &[PolicySpec],
-    timekeeping: bool,
+/// Runs a `compare` axis grid (one twin) and renders one row per
+/// `(label, baseline cell, run cell)`: the run cell's time, energy and
+/// EDP, with its slowdown and power saving against the baseline cell.
+/// The text form is the six-column table headed by `axis`, followed by
+/// `note`; the JSON form is the rows alone.
+fn compare_table(
+    sweep: Sweep,
+    axis: &str,
+    rows: Vec<(String, usize, usize)>,
+    note: &str,
     workers: usize,
     json: bool,
 ) -> Result<(String, i32), String> {
-    let mut configs = vec![SystemConfig::baseline().with_timekeeping(timekeeping)];
-    configs.extend(
-        policies
-            .iter()
-            .map(|p| SystemConfig::with_policy(*p).with_timekeeping(timekeeping)),
-    );
-    let sweep = Sweep::over_grid(e, &[params], &configs);
     let report = sweep.report(workers);
     if let Some(summary) = failure_summary(&report) {
         return Err(summary);
     }
     let results = report.into_results();
-    let (base, rest) = match results.split_first() {
-        Some(split) => split,
-        None => return Err("compare produced no results".to_owned()),
-    };
-    let row = |name: &str, r: &vsv::RunResult| {
-        let cmp = Comparison::of(base, r);
-        let energy_mj = r.energy_pj / 1e9;
-        PolicyRow {
-            policy: name.to_owned(),
-            elapsed_ns: r.elapsed_ns,
-            energy_mj,
-            edp_mj_ms: energy_mj * r.elapsed_ns as f64 / 1e6,
-            slowdown_pct: cmp.perf_degradation_pct,
-            power_saving_pct: cmp.power_saving_pct,
-        }
-    };
-    let mut rows = vec![row("disabled", base)];
-    rows.extend(policies.iter().zip(rest).map(|(p, r)| row(p.name(), r)));
-    if json {
-        return serde_json::to_string_pretty(&rows)
-            .map(|s| (s, 0))
-            .map_err(|e| e.to_string());
-    }
-    let mut out = format!(
-        "{:<15} {:>11} {:>10} {:>11} {:>10} {:>8}\n",
-        "policy", "elapsed_ns", "energy_mJ", "EDP(mJ·ms)", "slowdown%", "saved%"
-    );
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<15} {:>11} {:>10.4} {:>11.4} {:>10.2} {:>8.2}\n",
-            r.policy, r.elapsed_ns, r.energy_mj, r.edp_mj_ms, r.slowdown_pct, r.power_saving_pct
-        ));
-    }
-    Ok((out, 0))
-}
-
-/// Runs `baseline` plus one `ladder-fsm` VSV config per requested
-/// ladder depth on one twin (a `1 × (1 + D)` sweep grid) and renders
-/// the EDP-vs-depth table (or its JSON rows).
-fn cross_ladder_compare(
-    e: Experiment,
-    params: vsv_workloads::WorkloadParams,
-    depths: &[usize],
-    timekeeping: bool,
-    workers: usize,
-    json: bool,
-) -> Result<(String, i32), String> {
-    let mut configs = vec![SystemConfig::baseline().with_timekeeping(timekeeping)];
-    configs.extend(depths.iter().map(|&d| {
-        SystemConfig::with_policy(PolicySpec::LadderFsm)
-            .with_ladder_depth(d)
-            .with_timekeeping(timekeeping)
-    }));
-    let sweep = Sweep::over_grid(e, &[params], &configs);
-    let report = sweep.report(workers);
-    if let Some(summary) = failure_summary(&report) {
-        return Err(summary);
-    }
-    let results = report.into_results();
-    let (base, rest) = match results.split_first() {
-        Some(split) => split,
-        None => return Err("compare produced no results".to_owned()),
-    };
-    let row = |name: String, r: &vsv::RunResult| {
-        let cmp = Comparison::of(base, r);
-        let energy_mj = r.energy_pj / 1e9;
-        PolicyRow {
-            policy: name,
-            elapsed_ns: r.elapsed_ns,
-            energy_mj,
-            edp_mj_ms: energy_mj * r.elapsed_ns as f64 / 1e6,
-            slowdown_pct: cmp.perf_degradation_pct,
-            power_saving_pct: cmp.power_saving_pct,
-        }
-    };
-    let mut rows = vec![row("disabled".to_owned(), base)];
-    rows.extend(
-        depths
-            .iter()
-            .zip(rest)
-            .map(|(d, r)| row(format!("ladder-fsm@d{d}"), r)),
-    );
-    if json {
-        return serde_json::to_string_pretty(&rows)
-            .map(|s| (s, 0))
-            .map_err(|e| e.to_string());
-    }
-    let mut out = format!(
-        "{:<15} {:>11} {:>10} {:>11} {:>10} {:>8}\n",
-        "ladder", "elapsed_ns", "energy_mJ", "EDP(mJ·ms)", "slowdown%", "saved%"
-    );
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<15} {:>11} {:>10.4} {:>11.4} {:>10.2} {:>8.2}\n",
-            r.policy, r.elapsed_ns, r.energy_mj, r.edp_mj_ms, r.slowdown_pct, r.power_saving_pct
-        ));
-    }
-    Ok((out, 0))
-}
-
-/// Runs one baseline-vs-`dual-fsm` pair per requested core count on
-/// one twin (a `1 × 2K` sweep grid) and renders the scaling table (or
-/// its JSON rows). Each VSV row compares against the *equally
-/// contended* baseline at the same core count, so the saving isolates
-/// the policy from the shared-L2 slowdown.
-fn cross_cores_compare(
-    e: Experiment,
-    params: vsv_workloads::WorkloadParams,
-    counts: &[usize],
-    timekeeping: bool,
-    workers: usize,
-    json: bool,
-) -> Result<(String, i32), String> {
-    let configs: Vec<SystemConfig> = counts
-        .iter()
-        .flat_map(|&n| {
-            [
-                SystemConfig::baseline()
-                    .with_timekeeping(timekeeping)
-                    .with_cores(n),
-                SystemConfig::vsv_with_fsms()
-                    .with_timekeeping(timekeeping)
-                    .with_cores(n),
-            ]
+    let rows: Vec<CompareRow> = rows
+        .into_iter()
+        .map(|(policy, b, r)| {
+            let (base, run) = (&results[b], &results[r]);
+            let cmp = Comparison::of(base, run);
+            let energy_mj = run.energy_pj / 1e9;
+            CompareRow {
+                policy,
+                elapsed_ns: run.elapsed_ns,
+                energy_mj,
+                edp_mj_ms: energy_mj * run.elapsed_ns as f64 / 1e6,
+                slowdown_pct: cmp.perf_degradation_pct,
+                power_saving_pct: cmp.power_saving_pct,
+            }
         })
         .collect();
-    let sweep = Sweep::over_grid(e, &[params], &configs);
-    let report = sweep.report(workers);
-    if let Some(summary) = failure_summary(&report) {
-        return Err(summary);
-    }
-    let results = report.into_results();
-    let mut rows = Vec::with_capacity(counts.len());
-    for (i, &n) in counts.iter().enumerate() {
-        let (base, vsv_run) = (&results[2 * i], &results[2 * i + 1]);
-        let cmp = Comparison::of(base, vsv_run);
-        let energy_mj = vsv_run.energy_pj / 1e9;
-        rows.push(PolicyRow {
-            policy: format!("dual-fsm@c{n}"),
-            elapsed_ns: vsv_run.elapsed_ns,
-            energy_mj,
-            edp_mj_ms: energy_mj * vsv_run.elapsed_ns as f64 / 1e6,
-            slowdown_pct: cmp.perf_degradation_pct,
-            power_saving_pct: cmp.power_saving_pct,
-        });
-    }
     if json {
         return serde_json::to_string_pretty(&rows)
             .map(|s| (s, 0))
@@ -1399,7 +1339,7 @@ fn cross_cores_compare(
     }
     let mut out = format!(
         "{:<15} {:>11} {:>10} {:>11} {:>10} {:>8}\n",
-        "cores", "elapsed_ns", "energy_mJ", "EDP(mJ·ms)", "slowdown%", "saved%"
+        axis, "elapsed_ns", "energy_mJ", "EDP(mJ·ms)", "slowdown%", "saved%"
     );
     for r in &rows {
         out.push_str(&format!(
@@ -1407,10 +1347,7 @@ fn cross_cores_compare(
             r.policy, r.elapsed_ns, r.energy_mj, r.edp_mj_ms, r.slowdown_pct, r.power_saving_pct
         ));
     }
-    out.push_str(
-        "(each row compares dual-fsm to the baseline at the same core count, \
-         both contended on the shared L2)\n",
-    );
+    out.push_str(note);
     Ok((out, 0))
 }
 
@@ -1965,6 +1902,59 @@ mod tests {
         assert!(Command::parse(&sv(&["run", "--twin"])).is_err());
         assert!(Command::parse(&sv(&["frobnicate"])).is_err());
         assert!(Command::parse(&sv(&["run", "--twin", "mcf", "--config", "wat"])).is_err());
+    }
+
+    #[test]
+    fn flags_of_another_verb_are_usage_errors_naming_flag_and_verb() {
+        let err = Command::parse(&sv(&[
+            "run",
+            "--twin",
+            "gzip",
+            "--policy",
+            "oracle-down",
+            "--ns",
+            "7",
+        ]))
+        .expect_err("run takes no --policy");
+        assert_eq!(err, "--policy does not apply to run");
+        let err = Command::parse(&sv(&[
+            "compare",
+            "--twin",
+            "gzip",
+            "--error-rate",
+            "0.5",
+            "--traffic",
+            "poisson:rate=1.0,size=200",
+        ]))
+        .expect_err("compare takes no error model");
+        assert_eq!(err, "--error-rate does not apply to compare");
+        let err = Command::parse(&sv(&["campaign", "merge", "--inputs", "a", "--fresh"]))
+            .expect_err("merge takes no --fresh");
+        assert_eq!(err, "--fresh does not apply to campaign merge");
+        let err = Command::parse(&sv(&[
+            "trace",
+            "summarize",
+            "--input",
+            "t",
+            "--twin",
+            "mcf",
+        ]))
+        .expect_err("summarize takes no --twin");
+        assert_eq!(err, "--twin does not apply to trace summarize");
+        // A flag no verb takes is still an unknown flag.
+        let err = Command::parse(&sv(&["run", "--twin", "gzip", "--bogus"])).expect_err("bogus");
+        assert_eq!(err, "unknown flag '--bogus'");
+        // The grid flags apply to sweep and every campaign verb.
+        for verb in [&["sweep"][..], &["campaign", "plan", "--shards", "2"]] {
+            let mut args = sv(verb);
+            args.extend(sv(&[
+                "--error-rate",
+                "0.5",
+                "--traffic",
+                "poisson:rate=1.0,size=200",
+            ]));
+            Command::parse(&args).expect("grid flags apply");
+        }
     }
 
     #[test]
@@ -2717,6 +2707,67 @@ mod tests {
         assert_eq!(code, 0);
         for name in ["dual-fsm@c1", "dual-fsm@c2"] {
             assert!(out.contains(name), "{out}");
+        }
+    }
+
+    /// The exact text of the three axis tables on gzip at 3k/1k
+    /// instructions, and the FNV-1a digest of each table's JSON.
+    const PINNED_COMPARE_TABLES: [(&str, &str, u64); 3] = [
+        (
+            "--policies=always-high,immediate-down",
+            "\
+policy           elapsed_ns  energy_mJ  EDP(mJ·ms)  slowdown%   saved%
+disabled              10457     0.1282      0.0013       0.00     0.00
+always-high           10457     0.1282      0.0013       0.00     0.00
+immediate-down        10887     0.0767      0.0008       4.11    42.53
+",
+            0x49d0_ceb4_b540_eea2,
+        ),
+        (
+            "--ladders=1,2,4",
+            "\
+ladder           elapsed_ns  energy_mJ  EDP(mJ·ms)  slowdown%   saved%
+disabled              10457     0.1282      0.0013       0.00     0.00
+ladder-fsm@d1         10457     0.1282      0.0013       0.00     0.00
+ladder-fsm@d2         10899     0.0781      0.0009       4.23    41.58
+ladder-fsm@d4         10992     0.0772      0.0008       5.12    42.70
+",
+            0xc96d_935b_666f_b95c,
+        ),
+        (
+            "--cores=1,2",
+            "\
+cores            elapsed_ns  energy_mJ  EDP(mJ·ms)  slowdown%   saved%
+dual-fsm@c1           10899     0.0781      0.0009       4.23    41.58
+dual-fsm@c2           11182     0.1589      0.0018       3.92    41.37
+(each row compares dual-fsm to the baseline at the same core count, both contended on the shared L2)
+",
+            0x1acc_721b_1807_a22a,
+        ),
+    ];
+
+    #[test]
+    fn compare_tables_match_their_pinned_bytes() {
+        let fnv1a = |s: &str| {
+            s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        for (axis, text, json_digest) in PINNED_COMPARE_TABLES {
+            let (flag, list) = axis.split_once('=').expect("flag=list");
+            let run = |json: bool| {
+                let mut args = sv(&[
+                    "compare", "--twin", "gzip", flag, list, "--insts", "3000", "--warmup", "1000",
+                ]);
+                if json {
+                    args.push("--json".to_owned());
+                }
+                execute_with_exit(Command::parse(&args).expect("valid")).expect("runs")
+            };
+            assert_eq!(run(false), (text.to_owned(), 0), "{axis}");
+            let (out, code) = run(true);
+            assert_eq!(code, 0, "{axis}");
+            assert_eq!(fnv1a(&out), json_digest, "{axis} JSON changed:\n{out}");
         }
     }
 

@@ -10,7 +10,7 @@
 //! 12 ns supply ramps, the 66 nJ per-ramp charge), so every policy
 //! pays honest transition costs.
 //!
-//! Five policies are built in, selectable by [`PolicySpec`]:
+//! Seven policies are built in, selectable by [`PolicySpec`]:
 //!
 //! | name             | down on                         | up on |
 //! |------------------|---------------------------------|-------|
@@ -20,6 +20,10 @@
 //! | `immediate-down` | every detected demand miss      | first return |
 //! | `oracle-down`    | miss whose stall provably       | last return |
 //! |                  | outlasts the round trip         |       |
+//! | `ladder-fsm`     | `dual-fsm`'s rule, one ladder   | issuing run / sole return, |
+//! |                  | step per window, to the bottom  | straight to VDDH |
+//! | `error-backoff`  | `ladder-fsm`'s rule, clamped to | `ladder-fsm`'s rule, or a |
+//! |                  | the midpoint while engaged      | read-retry burst |
 //!
 //! `dual-fsm` is the default and is bit-identical to the pre-policy
 //! controller (`tests/policy_equivalence.rs` pins this).
@@ -27,7 +31,15 @@
 //! low-voltage floor, `immediate-down` the naive scheme the FSMs
 //! exist to beat, and `oracle-down` an upper bound that reads the
 //! simulator's scheduled miss-return times — knowledge no hardware
-//! policy has.
+//! policy has. `ladder-fsm` walks an N-level ladder, and
+//! `error-backoff` wraps it in an error-aware governor.
+//!
+//! The four FSM-based policies share one implementation,
+//! [`LadderFsmPolicy`]: `dual-fsm` and `immediate-down` are its
+//! one-step instances (they never go below ladder level 1),
+//! `ladder-fsm` steps to the ladder bottom, and `error-backoff` wraps
+//! the instance stepping to the bottom, or to level 1 on a depth-1
+//! ladder.
 
 use vsv_mem::VsvSignal;
 
@@ -208,14 +220,17 @@ pub enum PolicySpec {
     /// The dual-FSM logic generalized to the N-level ladder: step
     /// down one level per expired-evidence window while a demand miss
     /// is outstanding, return to VDDH on miss-return pressure. On the
-    /// 2-rail ladder this degenerates to [`PolicySpec::DualFsm`]-like
-    /// behavior; at depth 1 it can never leave VDDH.
+    /// 2-rail ladder its one step is exactly [`PolicySpec::DualFsm`]'s
+    /// (both are [`LadderFsmPolicy`] with bottom 1); at depth 1 it can
+    /// never leave VDDH.
     LadderFsm,
-    /// Error-aware graceful degradation: wraps the FSM policy for the
-    /// configured ladder (`dual-fsm` on 2 rails, `ladder-fsm` when
-    /// deeper), monitors the windowed read-retry rate, and — when the
-    /// rate crosses its threshold — climbs straight to VDDH and
-    /// vetoes further dives until a retry-free cool-down re-arms it.
+    /// Error-aware graceful degradation: wraps the FSM policy stepping
+    /// to the ladder bottom (level 1 at least, so on a depth-1 ladder
+    /// the inner policy is `dual-fsm`'s one step), monitors the
+    /// windowed read-retry rate, and — when the rate crosses its
+    /// threshold — climbs to the ladder midpoint (VDDH on two rails)
+    /// and clamps further dives there until a retry-free cool-down
+    /// re-arms it.
     ErrorBackoff,
 }
 
@@ -252,174 +267,44 @@ impl PolicySpec {
     }
 
     /// Instantiates the live policy for a configuration (`cfg`
-    /// supplies the FSM thresholds for [`PolicySpec::DualFsm`] and
-    /// the circuit timing for [`PolicySpec::OracleDown`]'s round-trip
+    /// supplies the FSM policies' thresholds and ladder depth, and the
+    /// circuit timing for [`PolicySpec::OracleDown`]'s round-trip
     /// cost).
     #[must_use]
     pub fn build(self, cfg: &crate::controller::VsvConfig) -> Box<dyn DvsPolicy> {
         match self {
-            PolicySpec::DualFsm => Box::new(DualFsmPolicy::new("dual-fsm", cfg.down, cfg.up)),
+            PolicySpec::DualFsm => Box::new(LadderFsmPolicy::new("dual-fsm", cfg.down, cfg.up, 1)),
             PolicySpec::AlwaysHigh => Box::new(AlwaysHigh),
             PolicySpec::AlwaysLow => Box::new(AlwaysLow::new(cfg.ladder.bottom())),
-            PolicySpec::ImmediateDown => Box::new(DualFsmPolicy::new(
+            PolicySpec::ImmediateDown => Box::new(LadderFsmPolicy::new(
                 "immediate-down",
                 DownPolicy::Immediate,
                 UpPolicy::FirstReturn,
+                1,
             )),
             PolicySpec::OracleDown => Box::new(OracleDown::new(
                 cfg.ctrl_distribute_ns + cfg.clock_tree_ns + cfg.ramp_ns() // down
                     + cfg.ctrl_distribute_ns + cfg.ramp_ns(), // up
             )),
-            PolicySpec::LadderFsm => {
-                Box::new(LadderFsmPolicy::new(cfg.down, cfg.up, cfg.ladder.bottom()))
-            }
-            PolicySpec::ErrorBackoff => {
-                let inner: Box<dyn DvsPolicy> = if cfg.ladder.bottom() <= 1 {
-                    Box::new(DualFsmPolicy::new("dual-fsm", cfg.down, cfg.up))
-                } else {
-                    Box::new(LadderFsmPolicy::new(cfg.down, cfg.up, cfg.ladder.bottom()))
-                };
-                // Engage at the ladder midpoint: halving the
-                // undervolt depth quarters the (quadratic) error
-                // probability. Two rails degenerate to VDDH.
-                Box::new(ErrorBackoffPolicy::new(
-                    inner,
-                    (cfg.ladder.bottom() / 2) as u8,
-                ))
-            }
+            PolicySpec::LadderFsm => Box::new(LadderFsmPolicy::new(
+                "ladder-fsm",
+                cfg.down,
+                cfg.up,
+                cfg.ladder.bottom(),
+            )),
+            // Engage at the ladder midpoint: halving the undervolt
+            // depth quarters the (quadratic) error probability. Two
+            // rails degenerate to VDDH.
+            PolicySpec::ErrorBackoff => Box::new(ErrorBackoffPolicy::new(
+                Box::new(LadderFsmPolicy::new(
+                    "ladder-fsm",
+                    cfg.down,
+                    cfg.up,
+                    cfg.ladder.bottom().max(1),
+                )),
+                (cfg.ladder.bottom() / 2) as u8,
+            )),
         }
-    }
-}
-
-// ---- dual-fsm (and immediate-down) ---------------------------------
-
-/// The paper's policy: [`DownFsm`]/[`UpFsm`] issue-rate monitors plus
-/// the level-triggered refresh and all-returned safety rules the
-/// controller used to hard-wire. With [`DownPolicy::Immediate`] /
-/// [`UpPolicy::FirstReturn`] it doubles as `immediate-down`.
-#[derive(Debug, Clone)]
-pub struct DualFsmPolicy {
-    name: &'static str,
-    down: DownFsm,
-    up: UpFsm,
-}
-
-impl DualFsmPolicy {
-    /// Builds the policy around the two monitors.
-    #[must_use]
-    pub fn new(name: &'static str, down: DownPolicy, up: UpPolicy) -> Self {
-        DualFsmPolicy {
-            name,
-            down: DownFsm::new(down),
-            up: UpFsm::new(up),
-        }
-    }
-}
-
-impl DvsPolicy for DualFsmPolicy {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn on_signal(&mut self, sig: &VsvSignal, mode: Mode) -> Decision {
-        match *sig {
-            VsvSignal::L2MissDetected { demand, .. } => {
-                // Prefetch-only misses never arm the FSMs (§4.2).
-                if demand && mode == Mode::High {
-                    self.down.arm();
-                }
-                Decision::Hold
-            }
-            VsvSignal::L2MissReturned {
-                demand,
-                outstanding_demand,
-                ..
-            } => {
-                if demand && mode == Mode::Low && self.up.on_return(outstanding_demand) {
-                    Decision::RampUp
-                } else {
-                    Decision::Hold
-                }
-            }
-        }
-    }
-
-    fn on_tick(&mut self, _now: u64, outstanding_demand: usize, mode: Mode) -> Decision {
-        // All misses returned while we were heading down or sitting
-        // low: nothing left to wait for, so go back up.
-        if mode == Mode::Low && outstanding_demand == 0 {
-            return Decision::RampUp;
-        }
-        // The L2 miss signal (Figure 1) is a level: it stays asserted
-        // while a demand miss is outstanding, so the down-FSM keeps
-        // monitoring for a zero-issue run for as long as the pipeline
-        // might yet run dry — not just for one window after the
-        // detection edge.
-        if mode == Mode::High && outstanding_demand > 0 {
-            self.down.refresh();
-        }
-        Decision::Hold
-    }
-
-    fn on_cycle(&mut self, issued: u32, mode: Mode) -> Decision {
-        match mode {
-            Mode::High if self.down.on_cycle(issued) => Decision::RampDown,
-            Mode::Low if self.up.on_cycle(issued) => Decision::RampUp,
-            _ => Decision::Hold,
-        }
-    }
-
-    fn on_mode_entered(&mut self, mode: Mode, _now: u64, outstanding_demand: usize) -> Decision {
-        // Misses that were detected mid-transition still deserve
-        // monitoring once we are back at speed.
-        if mode == Mode::High && outstanding_demand > 0 {
-            self.down.arm();
-        }
-        Decision::Hold
-    }
-
-    fn on_transition_start(&mut self) {
-        self.down.disarm();
-        self.up.disarm();
-    }
-
-    fn idle_skip_allowed(&self, mode: Mode, outstanding_demand: usize) -> bool {
-        match mode {
-            // High: no outstanding miss (else every tick refreshes
-            // the down-FSM) and the down-FSM unarmed (else idle edges
-            // advance its zero-issue run).
-            Mode::High => outstanding_demand == 0 && !self.down.is_armed(),
-            // Low: a miss still outstanding (else on_tick ramps up)
-            // and the up-FSM unable to trigger on an idle cycle (its
-            // window, if open, merely drains — batched exactly by
-            // `UpFsm::skip_idle_cycles`).
-            Mode::Low => outstanding_demand > 0 && !self.up.would_trigger_on_idle(),
-            _ => false,
-        }
-    }
-
-    fn skip_idle_cycles(&mut self, edges: u64, mode: Mode) {
-        if mode == Mode::Low {
-            self.up.skip_idle_cycles(edges);
-        }
-    }
-
-    fn stats(&self) -> PolicyStats {
-        PolicyStats {
-            down_triggers: self.down.triggers(),
-            down_expiries: self.down.expiries(),
-            up_triggers: self.up.triggers(),
-            up_expiries: self.up.expiries(),
-            ..PolicyStats::default()
-        }
-    }
-
-    fn armed(&self) -> (bool, bool) {
-        (self.down.is_armed(), self.up.is_armed())
-    }
-
-    fn clone_box(&self) -> Box<dyn DvsPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -535,38 +420,53 @@ impl DvsPolicy for AlwaysLow {
     }
 }
 
-// ---- ladder-fsm ----------------------------------------------------
+// ---- the FSM policies: dual-fsm, immediate-down, ladder-fsm -------
 
-/// The dual-FSM logic generalized to the N-level ladder (ROADMAP's
-/// "N-level policies" item): each expired zero-issue evidence window
-/// steps the supply down *one* level, so sustained memory-bound
-/// stalls descend toward VDDL step by step while marginal stalls only
-/// pay a shallow, quickly-reversed dip; miss-return pressure (the
-/// up-FSM's issuing-run or sole-return rule) retargets straight back
-/// to VDDH, reversing a descent even mid-ramp. On a depth-1 ladder
-/// there is nowhere to step, so the policy is inert (identical to
-/// [`AlwaysHigh`] — `tests/fsm_edges.rs` pins this).
+/// The paper's issue-rate FSM pair ([`DownFsm`]/[`UpFsm`], plus the
+/// level-triggered refresh and all-returned safety rules the
+/// controller used to hard-wire), walking the voltage ladder one step
+/// per expired zero-issue evidence window down to its `bottom` level.
+/// Miss-return pressure (the up-FSM's issuing-run or sole-return rule)
+/// retargets straight back to VDDH, reversing a descent even mid-ramp.
+///
+/// Every FSM policy is an instance of this one controller:
+///
+/// * `dual-fsm` — the paper's [`crate::VsvConfig::down`] /
+///   [`crate::VsvConfig::up`] monitors with `bottom` 1: one step, from
+///   VDDH to the next rail, on any ladder depth;
+/// * `immediate-down` — the same single step driven by
+///   [`DownPolicy::Immediate`] / [`UpPolicy::FirstReturn`];
+/// * `ladder-fsm` — the paper's monitors with `bottom` at the ladder's
+///   deepest level, so sustained memory-bound stalls descend toward
+///   VDDL step by step while marginal stalls only pay a shallow,
+///   quickly-reversed dip. On a depth-1 ladder (`bottom` 0) there is
+///   nowhere to step, so it is inert (identical to [`AlwaysHigh`] —
+///   `tests/fsm_edges.rs` pins this).
 #[derive(Debug, Clone)]
 pub struct LadderFsmPolicy {
+    name: &'static str,
     down: DownFsm,
     up: UpFsm,
-    /// The unscaled down policy the ladder variants are derived from
-    /// (see [`LadderFsmPolicy::scaled_down`]).
+    /// The unscaled down policy the per-step variants are derived
+    /// from (see [`LadderFsmPolicy::scaled_down`]).
     base_down: DownPolicy,
     /// Last settled ladder level (kept current by
     /// [`DvsPolicy::on_level`]).
     level: usize,
-    /// Deepest ladder level (`depth − 1`).
+    /// The deepest ladder level this policy steps to.
     bottom: usize,
 }
 
 impl LadderFsmPolicy {
-    /// Builds the policy around the two monitors for a ladder whose
-    /// deepest level is `bottom`. `down` is the evidence rule for the
-    /// *full* descent; per-step thresholds are scaled from it.
+    /// Builds the policy `name` around the two monitors, stepping no
+    /// deeper than ladder level `bottom` (the controller also clamps
+    /// every step to the configured ladder). `down` is the evidence
+    /// rule for the *full* descent to `bottom`; per-step thresholds
+    /// are scaled from it.
     #[must_use]
-    pub fn new(down: DownPolicy, up: UpPolicy, bottom: usize) -> Self {
+    pub fn new(name: &'static str, down: DownPolicy, up: UpPolicy, bottom: usize) -> Self {
         let mut policy = LadderFsmPolicy {
+            name,
             down: DownFsm::new(down),
             up: UpFsm::new(up),
             base_down: down,
@@ -584,7 +484,7 @@ impl LadderFsmPolicy {
     /// first step off a deep ladder risks little and fires almost
     /// immediately (chasing the stalls `immediate-down` captures),
     /// while the step onto the bottom rail demands the full base
-    /// threshold. On a 2-rail ladder the sole step *is* the full
+    /// threshold. With `bottom` 1 the sole step *is* the full
     /// commitment, so this reduces to the base policy exactly and the
     /// paper configuration is untouched. [`DownPolicy::Immediate`]
     /// passes through unscaled.
@@ -609,16 +509,16 @@ impl LadderFsmPolicy {
 
 impl DvsPolicy for LadderFsmPolicy {
     fn name(&self) -> &'static str {
-        "ladder-fsm"
+        self.name
     }
 
     fn on_signal(&mut self, sig: &VsvSignal, mode: Mode) -> Decision {
         match *sig {
             VsvSignal::L2MissDetected { demand, .. } => {
                 // Prefetch-only misses never arm the monitors (§4.2).
-                // Unlike the 2-rail policy, a detection at an
-                // intermediate level (steady Low) also arms: more
-                // evidence can justify another step down.
+                // A detection at an intermediate level (steady Low)
+                // also arms when a step is left below: more evidence
+                // can justify another step down.
                 if demand && self.can_descend() && matches!(mode, Mode::High | Mode::Low) {
                     self.down.arm();
                 }
@@ -638,10 +538,10 @@ impl DvsPolicy for LadderFsmPolicy {
                 // down — reversing it is the ladder's mid-ramp
                 // escape). A descent leaving level 0 settles at
                 // level 1, where the steady-state rules take over next
-                // tick — exactly the 2-rail behaviour, which keeps the
-                // depth-2 ladder's FSM counters bit-identical to
-                // `dual-fsm`; and an in-flight *up* step is already
-                // headed to VDDH, so a retarget is a no-op.
+                // tick — exactly the paper's 2-rail controller, which
+                // is what a one-step policy (`dual-fsm`) must stay;
+                // and an in-flight *up* step is already headed to
+                // VDDH, so a retarget is a no-op.
                 let reversible = match mode {
                     Mode::Low => true,
                     Mode::DownDistribute | Mode::RampDown => self.level >= 1,
@@ -708,9 +608,15 @@ impl DvsPolicy for LadderFsmPolicy {
 
     fn idle_skip_allowed(&self, mode: Mode, outstanding_demand: usize) -> bool {
         match mode {
-            // Same reasoning as the 2-rail policy, except the down-FSM
-            // can also be armed at intermediate levels.
+            // High: no outstanding miss (else every tick refreshes
+            // the down-FSM) and the down-FSM unarmed (else idle edges
+            // advance its zero-issue run).
             Mode::High => outstanding_demand == 0 && !self.down.is_armed(),
+            // Low: a miss still outstanding (else on_tick goes home),
+            // the down-FSM unarmed (it can arm at intermediate
+            // levels), and the up-FSM unable to trigger on an idle
+            // cycle (its window, if open, merely drains — batched
+            // exactly by `UpFsm::skip_idle_cycles`).
             Mode::Low => {
                 outstanding_demand > 0 && !self.down.is_armed() && !self.up.would_trigger_on_idle()
             }
@@ -787,11 +693,11 @@ pub struct ErrorBackoffPolicy {
 }
 
 impl ErrorBackoffPolicy {
-    /// Wraps `inner` (normally the FSM policy matching the ladder
-    /// depth; see [`PolicySpec::ErrorBackoff`]). `engage_level` is
-    /// the shallowest rung the policy retreats to while engaged
-    /// (`0` = VDDH; [`PolicySpec::build`] uses the ladder midpoint,
-    /// `bottom / 2`).
+    /// Wraps `inner` (normally the [`LadderFsmPolicy`] stepping to
+    /// the ladder bottom; see [`PolicySpec::ErrorBackoff`]).
+    /// `engage_level` is the shallowest rung the policy retreats to
+    /// while engaged (`0` = VDDH; [`PolicySpec::build`] uses the
+    /// ladder midpoint, `bottom / 2`).
     #[must_use]
     pub fn new(inner: Box<dyn DvsPolicy>, engage_level: u8) -> Self {
         ErrorBackoffPolicy {
@@ -1183,6 +1089,7 @@ mod tests {
     #[test]
     fn ladder_fsm_steps_down_one_level_per_expired_window() {
         let mut p = LadderFsmPolicy::new(
+            "ladder-fsm",
             crate::DownPolicy::Monitor {
                 threshold: 2,
                 period: 10,
@@ -1215,6 +1122,7 @@ mod tests {
     fn ladder_fsm_down_threshold_scales_with_commitment() {
         let thresholds = |bottom: usize| -> Vec<u32> {
             let p = LadderFsmPolicy::new(
+                "ladder-fsm",
                 crate::DownPolicy::default_monitor(),
                 crate::UpPolicy::default_monitor(),
                 bottom,
@@ -1234,6 +1142,7 @@ mod tests {
         assert_eq!(thresholds(7), [1, 1, 2, 2, 3, 3, 3]);
         // Immediate has no threshold to scale.
         let p = LadderFsmPolicy::new(
+            "ladder-fsm",
             crate::DownPolicy::Immediate,
             crate::UpPolicy::default_monitor(),
             3,
@@ -1244,6 +1153,7 @@ mod tests {
     #[test]
     fn ladder_fsm_return_pressure_targets_level_zero_from_any_depth() {
         let mut p = LadderFsmPolicy::new(
+            "ladder-fsm",
             crate::DownPolicy::Monitor {
                 threshold: 2,
                 period: 10,
@@ -1271,6 +1181,7 @@ mod tests {
     #[test]
     fn ladder_fsm_is_inert_on_a_depth_one_ladder() {
         let mut p = LadderFsmPolicy::new(
+            "ladder-fsm",
             crate::DownPolicy::Monitor {
                 threshold: 2,
                 period: 10,
@@ -1288,6 +1199,25 @@ mod tests {
         }
         assert_eq!(p.stats(), PolicyStats::default());
         assert!(p.idle_skip_allowed(Mode::High, 0));
+    }
+
+    #[test]
+    fn one_step_fsm_policies_stop_at_level_one_on_deep_ladders() {
+        let cfg = crate::VsvConfig::with_fsms().with_ladder_depth(4);
+        for spec in [PolicySpec::DualFsm, PolicySpec::ImmediateDown] {
+            let mut p = spec.build(&cfg);
+            let _ = p.on_signal(&detected(0, None), Mode::High);
+            assert!(p.armed().0, "{spec:?} arms at VDDH");
+            p.on_transition_start();
+            p.on_level(1);
+            let _ = p.on_mode_entered(Mode::Low, 10, 1);
+            let _ = p.on_signal(&detected(20, None), Mode::Low);
+            assert!(!p.armed().0, "{spec:?} has no step below level 1");
+            for _ in 0..20 {
+                assert_eq!(p.on_tick(30, 1, Mode::Low), Decision::Hold);
+                assert_ne!(p.on_cycle(0, Mode::Low), Decision::RampDown, "{spec:?}");
+            }
+        }
     }
 
     #[test]

@@ -367,6 +367,29 @@ struct Anchors {
     policy: PolicyStats,
 }
 
+/// The structured-event sink a [`System`] delivers to, with the level
+/// it was attached at.
+type EventSink = Option<(TraceLevel, Box<dyn TraceSink>)>;
+
+/// Delivers the event `make` builds to `sink` when one is attached at
+/// `level` or finer, counting it in `metrics` — the one path every
+/// event a [`System`] raises goes through. With no sink (or a coarser
+/// one) nothing is built. A free function over the two fields, so
+/// callers may keep other `System` fields borrowed.
+fn emit(
+    sink: &mut EventSink,
+    metrics: &mut MetricsRegistry,
+    level: TraceLevel,
+    make: impl FnOnce() -> TraceEvent,
+) {
+    if let Some((attached, sink)) = sink {
+        if *attached >= level {
+            metrics.inc(CounterId::TraceEvents);
+            sink.record(&make());
+        }
+    }
+}
+
 /// The composed simulator.
 ///
 /// # Examples
@@ -398,7 +421,7 @@ pub struct System<S> {
     // sink attached, the whole layer costs one branch per step.
     metrics: MetricsRegistry,
     window_metrics: MetricsRegistry,
-    event_sink: Option<(TraceLevel, Box<dyn TraceSink>)>,
+    event_sink: EventSink,
     fast_forward: bool,
     max_sim_ns: Option<u64>,
     inject_fault: Option<FaultKind>,
@@ -529,10 +552,12 @@ impl<S: InstStream> System<S> {
     /// callers use for out-of-band events such as
     /// [`TraceEvent::JobStart`] headers. A no-op with no sink.
     pub fn emit_trace_event(&mut self, event: &TraceEvent) {
-        if let Some((_, sink)) = self.event_sink.as_mut() {
-            self.metrics.inc(CounterId::TraceEvents);
-            sink.record(event);
-        }
+        emit(
+            &mut self.event_sink,
+            &mut self.metrics,
+            TraceLevel::Transitions,
+            || event.clone(),
+        );
     }
 
     /// Detaches and returns the structured event sink, flushing it and
@@ -566,15 +591,16 @@ impl<S: InstStream> System<S> {
     /// step and window boundary so sink output stays in emission
     /// order.
     fn flush_trace_events(&mut self) {
-        let Some((_, sink)) = self.event_sink.as_mut() else {
-            return;
-        };
-        if !self.controller.has_trace_events() {
+        if self.event_sink.is_none() || !self.controller.has_trace_events() {
             return;
         }
         for ev in self.controller.drain_trace_events() {
-            self.metrics.inc(CounterId::TraceEvents);
-            sink.record(&ev);
+            emit(
+                &mut self.event_sink,
+                &mut self.metrics,
+                TraceLevel::Transitions,
+                || ev,
+            );
         }
     }
 
@@ -684,7 +710,6 @@ impl<S: InstStream> System<S> {
         let mode = self.controller.mode();
         let period = self.controller.current_period_ns();
         let mut next_edge = self.controller.next_edge();
-        let next_edge0 = next_edge;
         let (edges, vdd) = self.controller.skip_quiescent(from, ns);
         self.metrics.inc(CounterId::FastForwardBatches);
         self.metrics.add(CounterId::FastForwardNs, ns);
@@ -692,52 +717,49 @@ impl<S: InstStream> System<S> {
         self.power.record_leakage_span(ns, vdd);
         self.power.record_idle_cycles(edges, vdd);
         self.core.skip_idle_cycles(edges);
-        if let Some(trace) = self.trace.as_mut() {
+        emit(
+            &mut self.event_sink,
+            &mut self.metrics,
+            TraceLevel::Events,
+            || TraceEvent::FastForward {
+                from,
+                to: target,
+                edges,
+            },
+        );
+        // FSM windows that expired inside the batch were stamped at the
+        // batch end by the controller; deliver them after the batch
+        // marker.
+        self.flush_trace_events();
+        // Replay the skipped span nanosecond by nanosecond into the
+        // ModeTrace ring and a Full-level sink, as stepping would have.
+        let full_sink = matches!(self.event_sink, Some((TraceLevel::Full, _)));
+        if self.trace.is_some() || full_sink {
+            let vdd_mv = vdd_mv(vdd);
             for t in from..target {
                 let edge = t >= next_edge;
                 if edge {
                     next_edge += period;
                 }
-                trace.push(TraceSample {
-                    ns: t,
-                    mode,
-                    vdd,
-                    edge,
-                });
-            }
-        }
-        if self.event_sink.is_some() {
-            if let Some((level, sink)) = self.event_sink.as_mut() {
-                if *level >= TraceLevel::Events {
-                    self.metrics.inc(CounterId::TraceEvents);
-                    sink.record(&TraceEvent::FastForward {
-                        from,
-                        to: target,
-                        edges,
-                    });
-                }
-            }
-            // FSM windows that expired inside the batch were stamped at
-            // the batch end by the controller; deliver them after the
-            // batch marker.
-            self.flush_trace_events();
-            if let Some((TraceLevel::Full, sink)) = self.event_sink.as_mut() {
-                // Replay the skipped span sample by sample, mirroring
-                // the ModeTrace replay above.
-                let mut e = next_edge0;
-                for t in from..target {
-                    let edge = t >= e;
-                    if edge {
-                        e += period;
-                    }
-                    self.metrics.inc(CounterId::TraceEvents);
-                    sink.record(&TraceEvent::Sample {
-                        at: t,
+                if let Some(trace) = self.trace.as_mut() {
+                    trace.push(TraceSample {
+                        ns: t,
                         mode,
-                        vdd_mv: vdd_mv(vdd),
+                        vdd,
                         edge,
                     });
                 }
+                emit(
+                    &mut self.event_sink,
+                    &mut self.metrics,
+                    TraceLevel::Full,
+                    || TraceEvent::Sample {
+                        at: t,
+                        mode,
+                        vdd_mv,
+                        edge,
+                    },
+                );
             }
         }
         self.now = target;
@@ -838,27 +860,27 @@ impl<S: InstStream> System<S> {
         for ev in &events {
             self.metrics.inc(CounterId::ReadErrors);
             if ev.exhausted {
-                if let Some((level, sink)) = self.event_sink.as_mut() {
-                    if *level >= TraceLevel::Events {
-                        self.metrics.inc(CounterId::TraceEvents);
-                        sink.record(&TraceEvent::RetryExhausted {
-                            at: ev.at,
-                            retries: ev.attempt,
-                        });
-                    }
-                }
+                emit(
+                    &mut self.event_sink,
+                    &mut self.metrics,
+                    TraceLevel::Events,
+                    || TraceEvent::RetryExhausted {
+                        at: ev.at,
+                        retries: ev.attempt,
+                    },
+                );
                 self.pending_unrecoverable = Some((ev.at, ev.attempt));
             } else {
                 self.metrics.inc(CounterId::ReadRetries);
-                if let Some((level, sink)) = self.event_sink.as_mut() {
-                    if *level >= TraceLevel::Events {
-                        self.metrics.inc(CounterId::TraceEvents);
-                        sink.record(&TraceEvent::ReadError {
-                            at: ev.at,
-                            attempt: ev.attempt,
-                        });
-                    }
-                }
+                emit(
+                    &mut self.event_sink,
+                    &mut self.metrics,
+                    TraceLevel::Events,
+                    || TraceEvent::ReadError {
+                        at: ev.at,
+                        attempt: ev.attempt,
+                    },
+                );
                 // After the event, so an engagement the retry causes
                 // lands later in the stream than its cause.
                 self.controller.on_read_retry(now);
@@ -893,22 +915,22 @@ impl<S: InstStream> System<S> {
                     let queued = tr.queue.len() as u64;
                     tr.advance();
                     self.metrics.inc(CounterId::RequestsArrived);
-                    if let Some((level, sink)) = self.event_sink.as_mut() {
-                        if *level >= TraceLevel::Events {
-                            self.metrics.inc(CounterId::TraceEvents);
-                            sink.record(&TraceEvent::RequestArrived { at, queued });
-                        }
-                    }
+                    emit(
+                        &mut self.event_sink,
+                        &mut self.metrics,
+                        TraceLevel::Events,
+                        || TraceEvent::RequestArrived { at, queued },
+                    );
                 }
                 TrafficEventKind::BurstStart => {
                     tr.advance();
                     self.metrics.inc(CounterId::BurstStarts);
-                    if let Some((level, sink)) = self.event_sink.as_mut() {
-                        if *level >= TraceLevel::Events {
-                            self.metrics.inc(CounterId::TraceEvents);
-                            sink.record(&TraceEvent::BurstStart { at });
-                        }
-                    }
+                    emit(
+                        &mut self.event_sink,
+                        &mut self.metrics,
+                        TraceLevel::Events,
+                        || TraceEvent::BurstStart { at },
+                    );
                 }
             }
         }
@@ -945,16 +967,16 @@ impl<S: InstStream> System<S> {
             }
             self.metrics.inc(CounterId::RequestsCompleted);
             self.metrics.observe_request_latency(latency_ns);
-            if let Some((level, sink)) = self.event_sink.as_mut() {
-                if *level >= TraceLevel::Events {
-                    self.metrics.inc(CounterId::TraceEvents);
-                    sink.record(&TraceEvent::RequestCompleted {
-                        at: now,
-                        wait_ns,
-                        latency_ns,
-                    });
-                }
-            }
+            emit(
+                &mut self.event_sink,
+                &mut self.metrics,
+                TraceLevel::Events,
+                || TraceEvent::RequestCompleted {
+                    at: now,
+                    wait_ns,
+                    latency_ns,
+                },
+            );
         }
     }
 
@@ -962,15 +984,17 @@ impl<S: InstStream> System<S> {
     /// runs at [`TraceLevel::Full`].
     fn emit_sample(&mut self, at: u64, vdd: f64, edge: bool) {
         let mode = self.controller.mode();
-        if let Some((TraceLevel::Full, sink)) = self.event_sink.as_mut() {
-            self.metrics.inc(CounterId::TraceEvents);
-            sink.record(&TraceEvent::Sample {
+        emit(
+            &mut self.event_sink,
+            &mut self.metrics,
+            TraceLevel::Full,
+            || TraceEvent::Sample {
                 at,
                 mode,
                 vdd_mv: vdd_mv(vdd),
                 edge,
-            });
-        }
+            },
+        );
     }
 
     /// Re-anchors every counter at "now" and zeroes the energy

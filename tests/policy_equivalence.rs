@@ -190,3 +190,74 @@ fn policy_savings_ordering_holds_on_ilp_covered_misses() {
     // anything.
     assert!(s_imm > 5.0, "immediate-down saved only {s_imm:.2}%");
 }
+
+/// FNV-1a, folded over successive byte strings.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The cells [`every_policy_matches_pinned_digest`] folds: mcf under
+/// every built-in policy × ladder depth {1, 2, 3, 4} × fast-forward
+/// on/off at error rate 0.02, then one 2-core `dual-fsm` cell. Depth 1
+/// and depths ≥ 3 are where the FSM policies differ in how far they
+/// step; the error rate engages `error-backoff`.
+fn pinned_policy_digest() -> u64 {
+    let e = Experiment {
+        warmup_instructions: 5_000,
+        instructions: 20_000,
+    };
+    let params = twin("mcf").expect("mcf exists");
+    let mut cells = Vec::new();
+    for spec in PolicySpec::ALL {
+        for depth in [1, 2, 3, 4] {
+            for ff in [true, false] {
+                cells.push(
+                    SystemConfig::with_policy(spec)
+                        .with_ladder_depth(depth)
+                        .with_fast_forward(ff)
+                        .with_error_rate(0.02),
+                );
+            }
+        }
+    }
+    cells.push(
+        SystemConfig::with_policy(PolicySpec::DualFsm)
+            .with_error_rate(0.02)
+            .with_cores(2),
+    );
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for cfg in cells {
+        let (result, metrics) = e.try_run(&params, cfg, None).expect("cell runs");
+        h = fnv1a(h, serde_json::to_string(&result).expect("json").as_bytes());
+        h = fnv1a(h, serde_json::to_string(&metrics).expect("json").as_bytes());
+    }
+    h
+}
+
+/// The pinned digest of [`pinned_policy_digest`], taken before the
+/// FSM policies were folded into one implementation. Regenerate with
+/// `cargo test --test policy_equivalence -- --ignored --nocapture print_policy_digest`
+/// only for an intended simulation change.
+const PINNED_POLICY_DIGEST: u64 = 0xab53_96df_19a4_0eba;
+
+/// Every built-in policy, at every ladder depth that changes how far
+/// it steps, with and without fast-forward and under read errors,
+/// reproduces its pinned `RunResult` and metrics bytes.
+#[test]
+fn every_policy_matches_pinned_digest() {
+    let got = pinned_policy_digest();
+    assert_eq!(
+        got, PINNED_POLICY_DIGEST,
+        "policy results changed — deliberate simulation change? (new digest: {got:#018x})"
+    );
+}
+
+#[test]
+#[ignore = "helper: prints the digest for updating PINNED_POLICY_DIGEST"]
+fn print_policy_digest() {
+    println!("PINNED_POLICY_DIGEST: {:#018x}", pinned_policy_digest());
+}
