@@ -40,8 +40,8 @@
 use std::time::Instant;
 
 use vsv::{
-    default_workers, Comparison, Experiment, Mode, MulticoreSystem, PolicySpec, RunResult, Sweep,
-    System, SystemConfig,
+    default_workers, CaptureSink, Comparison, EventBuf, Experiment, Mode, MulticoreSystem,
+    PolicySpec, RunResult, Sweep, System, SystemConfig, TraceEvent, TraceLevel,
 };
 use vsv_bench::{
     announce_workers, experiment_from_env, git_revision, host_cpus, results_or_die, rule, CsvSink,
@@ -409,25 +409,33 @@ fn main() {
     let mut correlation = Vec::new();
     for params in &twins {
         let cfg = SystemConfig::vsv_with_fsms().with_cores(2);
-        let mut chip = MulticoreSystem::try_new(cfg, params).expect("valid multicore config");
-        chip.try_warm_up(e.warmup_instructions).expect("warm-up");
-        chip.enable_traces(TRACE_CAPACITY);
-        chip.try_run(e.instructions).expect("traced run");
-        let traces: Vec<_> = chip
-            .take_traces()
-            .into_iter()
-            .map(|t| t.expect("tracing was enabled"))
-            .collect();
-        // Lockstep means every core pushes one sample per ns, so the
-        // retained windows line up sample-for-sample even when the
-        // ring dropped old entries.
-        let len = traces.iter().map(vsv::ModeTrace::len).min().unwrap_or(0);
-        let low_flags: Vec<Vec<bool>> = traces
+        let buf = EventBuf::default();
+        let sink = Box::new(CaptureSink::new(buf.clone()));
+        e.try_run(params, cfg, Some((TraceLevel::Full, sink)))
+            .expect("traced run");
+        // The chip's trace holds each core's events behind a
+        // `CoreStart`; keep each core's last TRACE_CAPACITY samples.
+        let mut traces: Vec<Vec<bool>> = Vec::new();
+        for event in buf.take() {
+            match event {
+                TraceEvent::CoreStart { .. } => traces.push(Vec::new()),
+                TraceEvent::Sample { mode, .. } => traces
+                    .last_mut()
+                    .expect("samples follow a CoreStart")
+                    .push(mode == Mode::Low),
+                _ => {}
+            }
+        }
+        // Lockstep means every core emits one sample per ns, so the
+        // retained windows line up sample-for-sample.
+        let len = traces
             .iter()
-            .map(|t| {
-                let skip = t.len() - len;
-                t.iter().skip(skip).map(|s| s.mode == Mode::Low).collect()
-            })
+            .map(|t| t.len().min(TRACE_CAPACITY))
+            .min()
+            .unwrap_or(0);
+        let low_flags: Vec<Vec<bool>> = traces
+            .into_iter()
+            .map(|mut t| t.split_off(t.len() - len))
             .collect();
         let per_core_low: Vec<f64> = low_flags
             .iter()

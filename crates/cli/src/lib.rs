@@ -11,8 +11,8 @@
 // binaries, and campaign shard processes share one `--workers`
 // semantics.
 use vsv::{
-    resolve_workers, Campaign, Comparison, Experiment, MergeOptions, PolicySpec, Sweep, System,
-    SystemConfig,
+    resolve_workers, Campaign, CaptureSink, Comparison, EventBuf, Experiment, MergeOptions,
+    PolicySpec, Sweep, System, SystemConfig, TraceEvent, TraceLevel,
 };
 use vsv_workloads::{spec2k_twins, table2_reference, twin, Generator};
 
@@ -395,6 +395,9 @@ impl Command {
                     ns = next_value("--ns", &mut it)?
                         .parse()
                         .map_err(|e| format!("--ns: {e}"))?;
+                    if ns == 0 {
+                        return Err("--ns must be at least 1".to_owned());
+                    }
                 }
                 "--policy" => policy = Some(parse_policy(&next_value("--policy", &mut it)?)?),
                 "--policies" => {
@@ -630,9 +633,9 @@ const GRID_FLAGS: &str =
     "--twin --policy --ladder --cores --tk --insts --warmup --error-rate --slo --traffic";
 
 /// The flags each verb accepts: `(verb, takes the grid flags, its own
-/// flags)`, as its [`USAGE`] line documents them (plus `campaign
-/// plan --json`). A flag that only another verb takes is a usage
-/// error naming the flag and the verb, never silently ignored.
+/// flags)`, as its [`USAGE`] line documents them. A flag that only
+/// another verb takes is a usage error naming the flag and the verb,
+/// never silently ignored.
 const VERB_FLAGS: [(&str, bool, &str); 11] = [
     ("help", false, ""),
     ("list", false, ""),
@@ -685,8 +688,9 @@ USAGE:
                   [--inject-fault CELL[:KIND]]
   vsv-cli trace   --twin NAME [--ns N] [--svg FILE]
   vsv-cli trace summarize --input FILE
-  vsv-cli campaign plan  --shards K [grid flags]
-  vsv-cli campaign run   --shard I/K --out FILE [--fresh] [--workers N]
+  vsv-cli campaign plan  --shards K [--json] [grid flags]
+  vsv-cli campaign run   --shard I/K | --shard I --shards K
+                  --out FILE [--fresh] [--workers N]
                   [--inject-fault CELL[:KIND]] [grid flags]
   vsv-cli campaign merge --inputs A,B,.. --out FILE [--shards K]
                   [--workers N] [grid flags]
@@ -722,8 +726,10 @@ ceilings p99/p999 in ns, judged against the --traffic request
 histogram (vacuously met without --traffic). Violations are
 reported per cell and exit with code 3 (cell failures win: 1). The
 error-backoff policy (--policy error-backoff) trades energy for
-reliability: it wraps dual-fsm (or ladder-fsm with --ladder) and
-climbs back to VDDH while the observed retry rate is high.
+reliability: it wraps dual-fsm (or ladder-fsm with --ladder) and,
+while the observed retry rate is high, climbs to the ladder midpoint
+(level bottom/2: VDDH on two rails, level 1 with --ladder 4) and
+dives no deeper.
 
 Service traffic: --traffic layers a deterministic open-loop request
 stream over every sweep cell. A request is a SIZE-instruction slice
@@ -752,10 +758,11 @@ default), always-high (no-DVS control), always-low (static low
 voltage), immediate-down (ramp on every L2 miss), oracle-down
 (clairvoyant upper bound), ladder-fsm (the dual FSMs generalized to
 step down an N-level voltage ladder), error-backoff (dual-fsm/
-ladder-fsm wrapped in an error-aware governor that backs off to
-VDDH under read-retry pressure). compare --policies runs the
-baseline plus each named policy on the same twin and prints
-per-policy energy, EDP, slowdown and power savings.
+ladder-fsm wrapped in an error-aware governor that backs off to the
+ladder midpoint, VDDH on two rails, under read-retry pressure).
+compare --policies runs the baseline plus each named policy on the
+same twin and prints per-policy energy, EDP, slowdown and power
+savings.
 
 Voltage ladders: --ladder N runs the VSV side on a uniform N-level
 ladder between VDDL and VDDH (depth 2 = the paper's two rails, the
@@ -1259,18 +1266,30 @@ pub fn execute_with_exit(cmd: Command) -> Result<(String, i32), String> {
             let params = twin(&name).ok_or_else(|| unknown_twin(&name))?;
             let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))
                 .map_err(|e| e.to_string())?;
-            sys.enable_trace(ns);
+            let buf = EventBuf::default();
+            sys.set_event_sink(TraceLevel::Full, Box::new(CaptureSink::new(buf.clone())));
             sys.try_warm_up(20_000).map_err(|e| e.to_string())?;
             sys.try_run(30_000).map_err(|e| e.to_string())?;
-            let trace = sys.take_trace().expect("tracing was enabled");
+            drop(sys.take_event_sink());
+            // The last `ns` nanoseconds of the run, warm-up included.
+            let mut samples = buf.take();
+            samples.retain(|e| matches!(e, TraceEvent::Sample { .. }));
+            let samples = &samples[samples.len().saturating_sub(ns)..];
+            let strip: String = samples
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Sample { mode, .. } => Some(mode.strip_char()),
+                    _ => None,
+                })
+                .collect();
             let mut out = String::new();
             out.push_str("H=high d=down-distribute D=ramp-down L=low u=up-distribute U=ramp-up\n");
-            for chunk in trace.strip().into_bytes().chunks(100) {
+            for chunk in strip.into_bytes().chunks(100) {
                 out.push_str(std::str::from_utf8(chunk).expect("ascii strip"));
                 out.push('\n');
             }
             if let Some(path) = svg {
-                let rendered = vsv_viz::TimelineChart::new(&trace).render();
+                let rendered = vsv_viz::TimelineChart::new(samples).render();
                 std::fs::write(&path, rendered).map_err(|e| format!("{path}: {e}"))?;
                 out.push_str(&format!("(svg timeline written to {path})\n"));
             }
@@ -1957,6 +1976,59 @@ mod tests {
         }
     }
 
+    /// Every verb's `USAGE` synopsis lists every flag the verb accepts
+    /// (`[grid flags]` standing for [`GRID_FLAGS`]) and no other.
+    #[test]
+    fn usage_synopsis_lists_exactly_each_verbs_flags() {
+        let synopsis = USAGE
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("USAGE has a synopsis block");
+        // One segment per `vsv-cli VERB ...` line plus its
+        // continuation lines.
+        let mut segments: Vec<(String, String)> = Vec::new();
+        for line in synopsis.lines() {
+            match line.trim_start().strip_prefix("vsv-cli ") {
+                Some(rest) => {
+                    let verb: Vec<&str> = rest
+                        .split_whitespace()
+                        .take_while(|w| w.chars().all(|c| c.is_ascii_lowercase()))
+                        .collect();
+                    segments.push((verb.join(" "), rest.to_owned()));
+                }
+                None => {
+                    let (_, text) = segments.last_mut().expect("a verb line comes first");
+                    text.push(' ');
+                    text.push_str(line);
+                }
+            }
+        }
+        for (verb, takes_grid, own) in VERB_FLAGS {
+            if verb == "help" {
+                continue;
+            }
+            let text = &segments
+                .iter()
+                .find(|(v, _)| v == verb)
+                .unwrap_or_else(|| panic!("USAGE has no synopsis for {verb}"))
+                .1;
+            let mut expected: Vec<&str> = own.split_whitespace().collect();
+            if takes_grid && !text.contains("[grid flags]") {
+                expected.extend(GRID_FLAGS.split_whitespace());
+            }
+            expected.sort_unstable();
+            expected.dedup();
+            let mut listed: Vec<&str> = text
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            listed.sort_unstable();
+            listed.dedup();
+            assert_eq!(listed, expected, "USAGE synopsis of {verb}");
+        }
+    }
+
     #[test]
     fn empty_args_mean_help() {
         assert_eq!(Command::parse(&[]).expect("ok"), Command::Help);
@@ -2453,6 +2525,14 @@ mod tests {
     }
 
     #[test]
+    fn trace_of_zero_ns_is_a_usage_error() {
+        let err = Command::parse(&sv(&["trace", "--twin", "gzip", "--ns", "0"]))
+            .expect_err("nothing to show");
+        assert_eq!(err, "--ns must be at least 1");
+        assert!(Command::parse(&sv(&["trace", "--twin", "gzip", "--ns", "1"])).is_ok());
+    }
+
+    #[test]
     fn sweep_trace_then_summarize_renders_a_timeline() {
         let path = std::env::temp_dir().join("vsv-cli-trace-summarize.jsonl");
         let _ = std::fs::remove_file(&path);
@@ -2779,15 +2859,26 @@ dual-fsm@c2           11182     0.1589      0.0018       3.92    41.37
         assert!(out.contains("shared L2"), "{out}");
     }
 
+    /// The last 500 ns of the ammp trace, pinned byte for byte: the
+    /// strip is read off the full-level `Sample` stream, warm-up
+    /// included.
     #[test]
     fn trace_emits_mode_strip() {
         let out = execute(Command::Trace {
             twin: "ammp".to_owned(),
-            ns: 300,
+            ns: 500,
             svg: None,
         })
         .expect("runs");
-        assert!(out.contains('H') || out.contains('L'));
+        let pinned = concat!(
+            "H=high d=down-distribute D=ramp-down L=low u=up-distribute U=ramp-up\n",
+            "HHHHHHHHHHHHHHHHHHHHHHHHddddDDDDDDDDDDDDLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLuuUUUUUUUUUUUUHHHH\n",
+            "HHHHHHHHHddddDDDDDDDDDDDDuuUUUUUUUUUUUUHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHH\n",
+            "HHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHddddDDDDDDDDDDDDLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLL\n",
+            "LLLLLLLuuUUUUUUUUUUUUHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHddddDDDDDDDDDDDDLLLLLLuuUUUUUUUUUUUUHHddddDDDD\n",
+            "DDDDDDDDLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLuuUUUUUUUUUUUUHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHH\n",
+        );
+        assert_eq!(out, pinned);
     }
 
     fn mcf_grid() -> GridSpec {

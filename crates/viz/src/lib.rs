@@ -5,7 +5,7 @@
 //! * [`GroupedBarChart`] — Figure 4/5/6/7-style grouped bars
 //!   (benchmarks × configurations);
 //! * [`TimelineChart`] — Figure 2/3-style mode/voltage timelines from
-//!   a [`vsv::ModeTrace`].
+//!   the [`vsv::TraceEvent::Sample`]s of a full-level event stream.
 //!
 //! Charts render to plain SVG strings; no drawing dependency is
 //! involved, so output is deterministic and diffable.

@@ -1,7 +1,8 @@
 //! Mode/voltage timelines (the paper's Figure 2/3 style), rendered
-//! from a recorded [`vsv::ModeTrace`].
+//! from the [`vsv::TraceEvent::Sample`]s of a [`vsv::TraceLevel::Full`]
+//! event stream.
 
-use vsv::{Mode, ModeTrace};
+use vsv::{Mode, TraceEvent};
 
 use crate::svg::SvgDoc;
 
@@ -17,39 +18,41 @@ fn mode_color(mode: Mode) -> &'static str {
 }
 
 /// A timeline chart: a mode band (colour per controller state) with
-/// the variable-domain supply voltage drawn over it.
+/// the variable-domain supply voltage drawn over it. Only the
+/// [`TraceEvent::Sample`]s of the event stream are drawn; every other
+/// event is ignored, so a captured stream can be passed as is.
 ///
 /// # Examples
 ///
 /// ```
-/// use vsv::{Mode, ModeTrace, TraceSample};
+/// use vsv::{Mode, TraceEvent};
 /// use vsv_viz::TimelineChart;
 ///
-/// let mut trace = ModeTrace::new(64);
-/// for ns in 0..32 {
-///     trace.push(TraceSample {
-///         ns,
-///         mode: if ns < 16 { Mode::High } else { Mode::Low },
-///         vdd: if ns < 16 { 1.8 } else { 1.2 },
+/// let events: Vec<TraceEvent> = (0..32)
+///     .map(|at| TraceEvent::Sample {
+///         at,
+///         mode: if at < 16 { Mode::High } else { Mode::Low },
+///         vdd_mv: if at < 16 { 1800 } else { 1200 },
 ///         edge: true,
-///     });
-/// }
-/// let svg = TimelineChart::new(&trace).render();
+///     })
+///     .collect();
+/// let svg = TimelineChart::new(&events).render();
 /// assert!(svg.contains("<svg"));
 /// assert!(svg.contains("VDD"));
 /// ```
 #[derive(Debug)]
 pub struct TimelineChart<'a> {
-    trace: &'a ModeTrace,
+    events: &'a [TraceEvent],
     px_per_ns: f64,
 }
 
 impl<'a> TimelineChart<'a> {
-    /// Creates a chart over `trace` at the default 2 px per ns.
+    /// Creates a chart over the samples in `events` at the default
+    /// 2 px per ns.
     #[must_use]
-    pub fn new(trace: &'a ModeTrace) -> Self {
+    pub fn new(events: &'a [TraceEvent]) -> Self {
         TimelineChart {
-            trace,
+            events,
             px_per_ns: 2.0,
         }
     }
@@ -70,13 +73,23 @@ impl<'a> TimelineChart<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the trace is empty.
+    /// Panics if `events` holds no sample.
     #[must_use]
     pub fn render(&self) -> String {
-        assert!(!self.trace.is_empty(), "trace has no samples");
-        let samples: Vec<_> = self.trace.iter().collect();
-        let t0 = samples[0].ns;
-        let span = samples.last().expect("nonempty").ns - t0 + 1;
+        // (ns, mode, vdd in volts) per drawn nanosecond.
+        let samples: Vec<(u64, Mode, f64)> = self
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Sample {
+                    at, mode, vdd_mv, ..
+                } => Some((at, mode, f64::from(vdd_mv) / 1000.0)),
+                _ => None,
+            })
+            .collect();
+        assert!(!samples.is_empty(), "trace has no samples");
+        let t0 = samples[0].0;
+        let span = samples.last().expect("nonempty").0 - t0 + 1;
 
         let (left, top) = (50.0, 24.0);
         let band_h = 46.0;
@@ -91,20 +104,20 @@ impl<'a> TimelineChart<'a> {
         // Mode band: one rect per contiguous run.
         let mut run_start = 0usize;
         for i in 1..=samples.len() {
-            let run_ends = i == samples.len() || samples[i].mode != samples[run_start].mode;
+            let run_ends = i == samples.len() || samples[i].1 != samples[run_start].1;
             if run_ends {
-                let s = samples[run_start];
+                let (ns, mode, _) = samples[run_start];
                 let end_ns = if i == samples.len() {
-                    samples[i - 1].ns + 1
+                    samples[i - 1].0 + 1
                 } else {
-                    samples[i].ns
+                    samples[i].0
                 };
                 doc.rect(
-                    x_of(s.ns),
+                    x_of(ns),
                     top,
-                    (end_ns - s.ns) as f64 * self.px_per_ns,
+                    (end_ns - ns) as f64 * self.px_per_ns,
                     band_h,
-                    mode_color(s.mode),
+                    mode_color(mode),
                 );
                 run_start = i;
             }
@@ -127,7 +140,7 @@ impl<'a> TimelineChart<'a> {
         }
         let points: Vec<(f64, f64)> = samples
             .iter()
-            .map(|s| (x_of(s.ns), y_of_v(s.vdd)))
+            .map(|&(ns, _, vdd)| (x_of(ns), y_of_v(vdd)))
             .collect();
         doc.polyline(&points, "#333333", 1.5);
         doc.text(
@@ -146,25 +159,24 @@ impl<'a> TimelineChart<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsv::TraceSample;
 
-    fn trace_with(modes: &[(Mode, u64)]) -> ModeTrace {
-        let mut t = ModeTrace::new(4096);
-        let mut ns = 0;
+    fn trace_with(modes: &[(Mode, u64)]) -> Vec<TraceEvent> {
+        let mut t = Vec::new();
+        let mut at = 0;
         for &(mode, len) in modes {
             for _ in 0..len {
-                let vdd = match mode {
-                    Mode::High | Mode::DownDistribute => 1.8,
-                    Mode::Low | Mode::UpDistribute => 1.2,
-                    _ => 1.5,
+                let vdd_mv = match mode {
+                    Mode::High | Mode::DownDistribute => 1800,
+                    Mode::Low | Mode::UpDistribute => 1200,
+                    _ => 1500,
                 };
-                t.push(TraceSample {
-                    ns,
+                t.push(TraceEvent::Sample {
+                    at,
                     mode,
-                    vdd,
+                    vdd_mv,
                     edge: true,
                 });
-                ns += 1;
+                at += 1;
             }
         }
         t
@@ -204,7 +216,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "no samples")]
     fn empty_trace_panics() {
-        let t = ModeTrace::new(4);
+        let _ = TimelineChart::new(&[]).render();
+    }
+
+    #[test]
+    #[should_panic(expected = "no samples")]
+    fn stream_without_samples_panics() {
+        let t = [TraceEvent::BurstStart { at: 3 }];
         let _ = TimelineChart::new(&t).render();
+    }
+
+    #[test]
+    fn non_sample_events_are_ignored() {
+        let mut t = trace_with(&[(Mode::High, 10), (Mode::Low, 10)]);
+        let plain = TimelineChart::new(&t).render();
+        t.insert(5, TraceEvent::BurstStart { at: 5 });
+        t.push(TraceEvent::FastForward {
+            from: 20,
+            to: 20,
+            edges: 0,
+        });
+        assert_eq!(TimelineChart::new(&t).render(), plain);
     }
 }

@@ -110,7 +110,7 @@ pub use system::{System, SystemConfig, MAX_CORES};
 #[cfg(feature = "serde")]
 pub use trace::JsonlSink;
 pub use trace::{
-    vdd_mv, FsmId, ModeTrace, NullSink, RingSink, SharedBuf, TraceEvent, TraceLevel, TraceSample,
+    vdd_mv, CaptureSink, EventBuf, FsmId, NullSink, RingSink, SharedBuf, TraceEvent, TraceLevel,
     TraceSink,
 };
 pub use vsv_power::{ErrorCurve, VoltageCurve, VoltageLadder, MAX_LADDER_DEPTH};

@@ -22,8 +22,9 @@
 //! others keep running. A parked core makes no fabric call, so the
 //! fabric sees exactly the calls of the ns-stepped chip;
 //! `tests/fast_forward_equivalence.rs` pins results, fabric
-//! statistics and per-core mode traces with parking on and off. When
-//! every core is parked the chip clock jumps to the earliest wake.
+//! statistics and every core's per-nanosecond sample stream with
+//! parking on and off. When every core is parked the chip clock jumps
+//! to the earliest wake.
 //! Single-core runs never construct a [`MulticoreSystem`] — the
 //! runner dispatches here only when [`SystemConfig::cores`] > 1.
 //!
@@ -50,7 +51,7 @@ use crate::error::SimError;
 use crate::metrics::MetricsRegistry;
 use crate::report::{RunResult, SloOutcome};
 use crate::system::{run_lockstep, System, SystemConfig};
-use crate::trace::ModeTrace;
+use crate::trace::{TraceLevel, TraceSink};
 
 /// N replicated cores — private L1s, prefetcher, controller, policy —
 /// over one shared, arbitrated L2/bus/DRAM fabric, stepped in
@@ -135,18 +136,30 @@ impl MulticoreSystem {
         self.cores.first().map_or(0, System::now)
     }
 
-    /// Starts per-nanosecond mode/voltage tracing on every core (see
-    /// [`System::enable_trace`]); the traces are what cross-core
-    /// miss-storm correlation is computed from.
-    pub fn enable_traces(&mut self, capacity: usize) {
-        for sys in &mut self.cores {
-            sys.enable_trace(capacity);
-        }
+    /// Attaches a structured [`TraceSink`] at `level` to core `core`'s
+    /// voltage domain, as [`System::set_event_sink`] does for a single
+    /// core: that core's events — at [`TraceLevel::Full`], one
+    /// [`crate::TraceEvent::Sample`] per nanosecond, the timeline
+    /// cross-core miss-storm correlation is computed from — go to the
+    /// sink until [`MulticoreSystem::take_event_sink`]. A core keeps
+    /// emitting after its own measured window closes, while it runs on
+    /// as background load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not below [`MulticoreSystem::cores`].
+    pub fn set_event_sink(&mut self, core: usize, level: TraceLevel, sink: Box<dyn TraceSink>) {
+        self.cores[core].set_event_sink(level, sink);
     }
 
-    /// Stops tracing and returns each core's trace, by core index.
-    pub fn take_traces(&mut self) -> Vec<Option<ModeTrace>> {
-        self.cores.iter_mut().map(System::take_trace).collect()
+    /// Detaches and returns core `core`'s event sink, flushing it
+    /// (see [`System::take_event_sink`]). `None` if none was attached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not below [`MulticoreSystem::cores`].
+    pub fn take_event_sink(&mut self, core: usize) -> Option<Box<dyn TraceSink>> {
+        self.cores[core].take_event_sink()
     }
 
     /// Each core's shared-fabric statistics (bus transactions and
@@ -158,13 +171,6 @@ impl MulticoreSystem {
         (0..self.cores.len())
             .map(|i| fabric.core_stats(i))
             .collect()
-    }
-
-    /// Mutable access to the per-core systems, for the runner to
-    /// attach trace sinks. Stepping a core directly would break the
-    /// lockstep invariant — keep this inside the crate.
-    pub(crate) fn systems_mut(&mut self) -> &mut [System<Generator>] {
-        &mut self.cores
     }
 
     /// Runs every core for `instructions` committed instructions (per

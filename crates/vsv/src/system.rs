@@ -16,7 +16,7 @@ use crate::error::{FaultKind, ModeTransition, SimError};
 use crate::metrics::{CounterId, MetricsRegistry};
 use crate::policy::{PolicySpec, PolicyStats};
 use crate::report::{RunResult, SloSpec};
-use crate::trace::{vdd_mv, ModeTrace, TraceEvent, TraceLevel, TraceSample, TraceSink};
+use crate::trace::{vdd_mv, TraceEvent, TraceLevel, TraceSink};
 
 /// Simulated nanoseconds without a commit before the watchdog
 /// declares a model deadlock (2 ms of simulated time).
@@ -413,7 +413,6 @@ pub struct System<S> {
     now: u64,
     anchors: Anchors,
     workload: String,
-    trace: Option<ModeTrace>,
     // Structured observability (see `crate::trace` / `crate::metrics`):
     // the always-on registry plus an optional event sink. `metrics`
     // accumulates the in-progress window; `window_metrics` holds the
@@ -495,7 +494,6 @@ impl<S: InstStream> System<S> {
             now: 0,
             anchors,
             workload: String::new(),
-            trace: None,
             metrics: MetricsRegistry::default(),
             window_metrics: MetricsRegistry::default(),
             event_sink: None,
@@ -516,24 +514,6 @@ impl<S: InstStream> System<S> {
     /// Names the workload in produced [`RunResult`]s.
     pub fn set_workload_name(&mut self, name: impl Into<String>) {
         self.workload = name.into();
-    }
-
-    /// Starts recording a per-nanosecond mode/voltage trace, keeping
-    /// the most recent `capacity` samples (a ring buffer). Costs a few
-    /// bytes per simulated nanosecond while enabled.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(ModeTrace::new(capacity));
-    }
-
-    /// Stops tracing and returns what was recorded, if tracing was on.
-    pub fn take_trace(&mut self) -> Option<ModeTrace> {
-        self.trace.take()
-    }
-
-    /// The trace recorded so far, if tracing is on.
-    #[must_use]
-    pub fn trace(&self) -> Option<&ModeTrace> {
-        self.trace.as_ref()
     }
 
     /// Attaches a structured [`TraceSink`] at `level`: from now on the
@@ -731,23 +711,14 @@ impl<S: InstStream> System<S> {
         // batch end by the controller; deliver them after the batch
         // marker.
         self.flush_trace_events();
-        // Replay the skipped span nanosecond by nanosecond into the
-        // ModeTrace ring and a Full-level sink, as stepping would have.
-        let full_sink = matches!(self.event_sink, Some((TraceLevel::Full, _)));
-        if self.trace.is_some() || full_sink {
+        // Replay the skipped span nanosecond by nanosecond into a
+        // Full-level sink, as stepping would have.
+        if matches!(self.event_sink, Some((TraceLevel::Full, _))) {
             let vdd_mv = vdd_mv(vdd);
             for t in from..target {
                 let edge = t >= next_edge;
                 if edge {
                     next_edge += period;
-                }
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.push(TraceSample {
-                        ns: t,
-                        mode,
-                        vdd,
-                        edge,
-                    });
                 }
                 emit(
                     &mut self.event_sink,
@@ -834,14 +805,6 @@ impl<S: InstStream> System<S> {
             if self.traffic.is_some() {
                 self.traffic_completions(now);
             }
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(TraceSample {
-                ns: now,
-                mode: self.controller.mode(),
-                vdd: plan.vdd,
-                edge: plan.pipeline_edge,
-            });
         }
         if self.event_sink.is_some() {
             self.flush_trace_events();
@@ -1877,10 +1840,24 @@ mod tests {
 mod trace_tests {
     use super::*;
     use crate::controller::Mode;
+    use crate::trace::{CaptureSink, EventBuf};
     use vsv_workloads::{Generator, WorkloadParams};
 
+    /// The `(at, mode, vdd_mv)` of every `Sample` in `events`.
+    fn samples(events: &[TraceEvent]) -> Vec<(u64, Mode, u32)> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Sample {
+                    at, mode, vdd_mv, ..
+                } => Some((at, mode, vdd_mv)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn trace_records_modes_and_voltages() {
+    fn full_trace_records_one_sample_per_ns() {
         let mut p = WorkloadParams::compute_bound("trace");
         p.working_set_bytes = 32 * 1024 * 1024;
         p.far_fraction = 0.25;
@@ -1888,35 +1865,35 @@ mod trace_tests {
         p.ilp_chains = 1;
         let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(p))
             .expect("valid config");
-        sys.enable_trace(50_000);
+        let buf = EventBuf::default();
+        sys.set_event_sink(TraceLevel::Full, Box::new(CaptureSink::new(buf.clone())));
         sys.try_warm_up(5_000).expect("warm-up");
         sys.try_run(20_000).expect("run");
-        let trace = sys.take_trace().expect("tracing was on");
-        assert!(!trace.is_empty());
-        let modes: std::collections::HashSet<_> = trace.iter().map(|s| s.mode).collect();
+        drop(sys.take_event_sink());
+        let samples = samples(&buf.take());
+        // One sample per simulated nanosecond, stepped or skipped.
+        assert_eq!(samples.len() as u64, sys.now());
+        assert!(samples.iter().zip(0..).all(|(s, ns)| s.0 == ns));
+        let modes: std::collections::HashSet<_> = samples.iter().map(|s| s.1).collect();
         assert!(modes.contains(&Mode::High));
         assert!(modes.contains(&Mode::Low), "memory-bound run must go low");
         // Voltage is always inside the rail band.
-        for s in trace.iter() {
-            assert!(s.vdd >= 1.2 - 1e-9 && s.vdd <= 1.8 + 1e-9);
-        }
-        // The strip renders one char per sample.
-        assert_eq!(trace.strip().len(), trace.len());
+        assert!(samples.iter().all(|s| (1200..=1800).contains(&s.2)));
     }
 
     #[test]
-    fn trace_off_by_default_and_disablable() {
+    fn samples_stop_when_the_sink_is_detached() {
         let mut sys = System::try_new(
             SystemConfig::baseline(),
             Generator::new(WorkloadParams::compute_bound("t")),
         )
         .expect("valid config");
-        assert!(sys.trace().is_none());
-        sys.enable_trace(128);
+        let buf = EventBuf::default();
+        sys.set_event_sink(TraceLevel::Full, Box::new(CaptureSink::new(buf.clone())));
         sys.try_run(1_000).expect("run");
-        assert!(sys.trace().is_some());
-        let t = sys.take_trace().expect("on");
-        assert!(t.len() <= 128);
-        assert!(sys.trace().is_none(), "take_trace turns tracing off");
+        assert!(sys.take_event_sink().is_some());
+        assert_eq!(samples(&buf.take()).len() as u64, sys.now());
+        sys.try_run(1_000).expect("run");
+        assert!(buf.is_empty(), "a detached sink records nothing");
     }
 }

@@ -1,12 +1,15 @@
 //! Structured tracing: typed [`TraceEvent`]s delivered to a pluggable
-//! [`TraceSink`], plus the original bounded per-nanosecond
-//! [`ModeTrace`] ring behind Figure 2/3-style timeline plots.
+//! [`TraceSink`] — the simulator's one trace mechanism.
 //!
-//! Both layers are off by default and cost nothing while off. The
-//! event layer is enabled with [`crate::System::set_event_sink`] at a
-//! chosen [`TraceLevel`]; the sample ring with
-//! [`crate::System::enable_trace`]. Event emission sites and the full
-//! field-by-field schema are documented in `docs/observability.md`.
+//! Tracing is off by default and costs one branch per step while off.
+//! It is enabled with [`crate::System::set_event_sink`] (per core on a
+//! chip: [`crate::MulticoreSystem::set_event_sink`]) at a chosen
+//! [`TraceLevel`]. At [`TraceLevel::Full`] the stream carries one
+//! [`TraceEvent::Sample`] per simulated nanosecond — the mode/voltage
+//! timeline behind Figure 2/3-style plots; capture it with a
+//! [`CaptureSink`] (everything) or a [`RingSink`] (the most recent
+//! window). Event emission sites and the full field-by-field schema
+//! are documented in `docs/observability.md`.
 //!
 //! Determinism contract: for a fixed configuration and experiment
 //! scale, the event stream is a pure function of the simulation — the
@@ -218,7 +221,8 @@ pub enum TraceEvent {
         at: u64,
     },
     /// One nanosecond of controller state ([`TraceLevel::Full`]
-    /// only) — the event-stream twin of [`TraceSample`].
+    /// only): the per-nanosecond timeline, identical whether the
+    /// nanosecond was stepped or fast-forwarded.
     Sample {
         /// Simulation time (ns).
         at: u64,
@@ -325,7 +329,7 @@ impl TraceSink for NullSink {
 }
 
 /// A bounded in-memory ring of events: long runs keep the most
-/// recent window, like [`ModeTrace`] but for the structured stream.
+/// recent window of the stream (all kinds, not only samples).
 #[derive(Debug, Clone)]
 pub struct RingSink {
     events: std::collections::VecDeque<TraceEvent>,
@@ -553,181 +557,6 @@ impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
                 self.error = Some(e.to_string());
             }
         }
-    }
-}
-
-/// One nanosecond of controller state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceSample {
-    /// Simulation time, nanoseconds.
-    pub ns: u64,
-    /// Controller mode during this nanosecond.
-    pub mode: Mode,
-    /// Effective variable-domain supply voltage.
-    pub vdd: f64,
-    /// Whether a pipeline clock edge fired this nanosecond.
-    pub edge: bool,
-}
-
-/// A bounded ring buffer of [`TraceSample`]s.
-///
-/// # Examples
-///
-/// ```
-/// use vsv::{Mode, ModeTrace, TraceSample};
-///
-/// let mut t = ModeTrace::new(2);
-/// for ns in 0..3 {
-///     t.push(TraceSample { ns, mode: Mode::High, vdd: 1.8, edge: true });
-/// }
-/// let samples: Vec<_> = t.iter().map(|s| s.ns).collect();
-/// assert_eq!(samples, vec![1, 2], "oldest sample dropped");
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModeTrace {
-    samples: std::collections::VecDeque<TraceSample>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl ModeTrace {
-    /// Creates a trace holding at most `capacity` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be nonzero");
-        ModeTrace {
-            samples: std::collections::VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends a sample, dropping the oldest if full.
-    pub fn push(&mut self, sample: TraceSample) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(sample);
-    }
-
-    /// Iterates oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceSample> {
-        self.samples.iter()
-    }
-
-    /// Samples currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Samples dropped off the front so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The mode changes in the retained window, as `(ns, mode)` pairs
-    /// (the first retained sample is always included).
-    #[must_use]
-    pub fn transitions(&self) -> Vec<(u64, Mode)> {
-        let mut out = Vec::new();
-        let mut last: Option<Mode> = None;
-        for s in &self.samples {
-            if last != Some(s.mode) {
-                out.push((s.ns, s.mode));
-                last = Some(s.mode);
-            }
-        }
-        out
-    }
-
-    /// Renders the retained window as a compact one-char-per-ns strip:
-    /// `H` high, `d`/`D` down-distribute/ramp-down, `L` low,
-    /// `u`/`U` up-distribute/ramp-up. Useful in test failures and
-    /// debugging sessions.
-    #[must_use]
-    pub fn strip(&self) -> String {
-        self.samples.iter().map(|s| s.mode.strip_char()).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample(ns: u64, mode: Mode) -> TraceSample {
-        TraceSample {
-            ns,
-            mode,
-            vdd: 1.8,
-            edge: true,
-        }
-    }
-
-    #[test]
-    fn ring_buffer_caps_and_counts_drops() {
-        let mut t = ModeTrace::new(3);
-        for ns in 0..10 {
-            t.push(sample(ns, Mode::High));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 7);
-        let first = t.iter().next().expect("nonempty");
-        assert_eq!(first.ns, 7);
-    }
-
-    #[test]
-    fn transitions_collapse_runs() {
-        let mut t = ModeTrace::new(16);
-        t.push(sample(0, Mode::High));
-        t.push(sample(1, Mode::High));
-        t.push(sample(2, Mode::DownDistribute));
-        t.push(sample(3, Mode::RampDown));
-        t.push(sample(4, Mode::RampDown));
-        t.push(sample(5, Mode::Low));
-        assert_eq!(
-            t.transitions(),
-            vec![
-                (0, Mode::High),
-                (2, Mode::DownDistribute),
-                (3, Mode::RampDown),
-                (5, Mode::Low)
-            ]
-        );
-    }
-
-    #[test]
-    fn strip_renders_one_char_per_sample() {
-        let mut t = ModeTrace::new(8);
-        for (ns, m) in [
-            (0, Mode::High),
-            (1, Mode::DownDistribute),
-            (2, Mode::RampDown),
-            (3, Mode::Low),
-            (4, Mode::UpDistribute),
-            (5, Mode::RampUp),
-        ] {
-            t.push(sample(ns, m));
-        }
-        assert_eq!(t.strip(), "HdDLuU");
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_capacity_panics() {
-        let _ = ModeTrace::new(0);
     }
 }
 

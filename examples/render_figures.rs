@@ -6,7 +6,10 @@
 //! cargo run --release --example render_figures [output-dir]
 //! ```
 
-use vsv::{Comparison, Experiment, SimError, System, SystemConfig};
+use vsv::{
+    CaptureSink, Comparison, EventBuf, Experiment, SimError, System, SystemConfig, TraceEvent,
+    TraceLevel,
+};
 use vsv_viz::{GroupedBarChart, TimelineChart};
 use vsv_workloads::{twin, Generator};
 
@@ -54,12 +57,17 @@ fn main() -> Result<(), SimError> {
         SystemConfig::vsv_with_fsms(),
         Generator::new(twin("ammp").expect("twin exists")),
     )?;
-    sys.enable_trace(600);
+    let buf = EventBuf::default();
+    sys.set_event_sink(TraceLevel::Full, Box::new(CaptureSink::new(buf.clone())));
     sys.try_warm_up(20_000)?;
     sys.try_run(20_000)?;
-    let trace = sys.take_trace().expect("tracing enabled");
+    drop(sys.take_event_sink());
+    // Plot the last 600 ns.
+    let mut samples = buf.take();
+    samples.retain(|e| matches!(e, TraceEvent::Sample { .. }));
+    let samples = &samples[samples.len().saturating_sub(600)..];
     let tl_path = out_dir.join("timeline.svg");
-    std::fs::write(&tl_path, TimelineChart::new(&trace).render()).expect("write svg");
+    std::fs::write(&tl_path, TimelineChart::new(samples).render()).expect("write svg");
     println!("wrote {}", tl_path.display());
     println!(
         "\nthe timeline's coloured bands are the controller states; the\n\

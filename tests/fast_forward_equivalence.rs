@@ -1,7 +1,7 @@
 //! Proves the quiescent-stall fast-forward is an *exact* optimisation:
 //! with `SystemConfig::fast_forward` on or off, every workload in the
 //! suite produces bit-identical [`RunResult`]s and bit-identical
-//! per-nanosecond [`ModeTrace`]s, across the configuration grids of
+//! per-nanosecond [`vsv::TraceEvent::Sample`] streams, across the configuration grids of
 //! all the bench bins (figure4/5/6/7, headline, table2, ablations) and
 //! both FSM-threshold variants. Also pins the batch catch-up
 //! primitives (FSM window drain, idle-cycle power accounting, leakage
@@ -10,11 +10,14 @@
 //! Chips fast-forward too: each core parks through its own quiescent
 //! spans inside the lockstep loop. The chip half of the suite pins
 //! that per-core parking leaves results, shared-fabric arbitration and
-//! every core's mode trace untouched.
+//! every core's sample stream untouched.
 
+mod samples;
+
+use samples::{Sample, SampleLog};
 use vsv::{
-    CounterId, DownPolicy, ModeTrace, MulticoreSystem, PolicySpec, RunResult, System, SystemConfig,
-    TrafficSpec, UpPolicy, VsvController,
+    CounterId, DownPolicy, MulticoreSystem, PolicySpec, RunResult, System, SystemConfig,
+    TraceLevel, TrafficSpec, UpPolicy, VsvController,
 };
 use vsv_mem::FabricCoreStats;
 use vsv_power::{ActivitySample, PowerAccountant, PowerConfig};
@@ -22,26 +25,27 @@ use vsv_workloads::{high_mr_names, spec2k_twins, twin, WorkloadParams};
 
 const WARMUP: u64 = 5_000;
 const INSTS: u64 = 15_000;
-const TRACE_CAP: usize = 1 << 16;
 
 /// Runs `params` under `cfg` with the given fast-forward setting and
-/// returns the measured window plus the full mode trace.
+/// returns the measured window plus the whole run's sample stream
+/// (warm-up included).
 fn run_one(
     params: WorkloadParams,
     cfg: SystemConfig,
     fast_forward: bool,
-) -> (RunResult, ModeTrace) {
+) -> (RunResult, Vec<Sample>) {
     let mut sys = System::try_new(
         cfg.with_fast_forward(fast_forward),
         vsv_workloads::Generator::new(params),
     )
     .expect("valid config");
     sys.set_workload_name(params.name);
-    sys.enable_trace(TRACE_CAP);
+    let log = SampleLog::default();
+    sys.set_event_sink(TraceLevel::Full, log.sink());
     sys.try_warm_up(WARMUP).expect("warm-up");
     let result = sys.try_run(INSTS).expect("run");
-    let trace = sys.take_trace().expect("tracing was on");
-    (result, trace)
+    drop(sys.take_event_sink());
+    (result, log.take())
 }
 
 /// Asserts bit-identical results and traces for one (workload, config)
@@ -56,7 +60,7 @@ fn assert_equivalent(params: WorkloadParams, cfg: SystemConfig, label: &str) {
     );
     assert_eq!(
         trace_on, trace_off,
-        "ModeTrace diverged for {} under {label}",
+        "sample stream diverged for {} under {label}",
         params.name
     );
 }
@@ -180,17 +184,25 @@ fn ablation_configs_equivalent() {
 // ---- multicore: per-core parking inside the lockstep loop ----------
 
 /// Everything a chip run produces that fast-forward could perturb.
-type ChipRun = (RunResult, Vec<FabricCoreStats>, Vec<Option<ModeTrace>>, u64);
+type ChipRun = (RunResult, Vec<FabricCoreStats>, Vec<Vec<Sample>>, u64);
 
-/// Runs `chip` (warm-up, then a measured window) with traces on and
-/// returns the result, per-core fabric statistics, per-core mode
-/// traces and the measured window's fast-forward batch count.
+/// Runs `chip` (warm-up, then a measured window) with a full-level
+/// sample log on every core and returns the result, per-core fabric
+/// statistics, per-core sample streams and the measured window's
+/// fast-forward batch count.
 fn run_chip(mut chip: MulticoreSystem) -> ChipRun {
-    chip.enable_traces(TRACE_CAP);
+    let logs: Vec<SampleLog> = (0..chip.cores()).map(|_| SampleLog::default()).collect();
+    for (core, log) in logs.iter().enumerate() {
+        chip.set_event_sink(core, TraceLevel::Full, log.sink());
+    }
     chip.try_warm_up(WARMUP).expect("warm-up");
     let (result, metrics) = chip.try_run_with_metrics(INSTS).expect("run");
+    for core in 0..chip.cores() {
+        drop(chip.take_event_sink(core));
+    }
     let batches = metrics.get(CounterId::FastForwardBatches);
-    (result, chip.fabric_stats(), chip.take_traces(), batches)
+    let streams = logs.iter().map(SampleLog::take).collect();
+    (result, chip.fabric_stats(), streams, batches)
 }
 
 /// Asserts a chip built by `build` is bit-identical with fast-forward
@@ -203,7 +215,7 @@ fn assert_chip_equivalent(build: impl Fn(bool) -> MulticoreSystem, label: &str) 
     assert_eq!(fabric_on, fabric_off, "fabric stats diverged under {label}");
     assert_eq!(
         traces_on, traces_off,
-        "per-core ModeTraces diverged under {label}"
+        "per-core sample streams diverged under {label}"
     );
     assert_eq!(batches_off, 0, "ns-stepped chip took batches under {label}");
     assert!(batches_on > 0, "no core ever parked under {label}");

@@ -11,13 +11,14 @@
 //! [`SystemConfig::validate`] as typed [`SimError::InvalidConfig`]
 //! errors; the negative half of this suite pins that.
 
+mod samples;
+
+use samples::{Sample, SampleLog};
 use vsv::{
-    Experiment, ModeTrace, PolicySpec, RunResult, SimError, Sweep, SweepReport, System,
-    SystemConfig, VoltageLadder,
+    Experiment, PolicySpec, RunResult, SimError, Sweep, SweepReport, System, SystemConfig,
+    TraceLevel, VoltageLadder,
 };
 use vsv_workloads::{twin, Generator, WorkloadParams};
-
-const TRACE_CAP: usize = 1 << 16;
 
 /// Twins spanning memory-bound (mcf, art, ammp) to compute-bound
 /// (gzip, mesa) behaviour — the same mix `tests/policy_equivalence.rs`
@@ -42,21 +43,24 @@ fn run(params: &WorkloadParams, cfg: SystemConfig) -> RunResult {
         .0
 }
 
-/// Runs with mode tracing on and the given fast-forward setting.
+/// Runs with a full-level sample log attached from construction and
+/// the given fast-forward setting: the result plus the whole run's
+/// sample stream (warm-up included).
 fn run_traced(
     params: WorkloadParams,
     cfg: SystemConfig,
     fast_forward: bool,
-) -> (RunResult, ModeTrace) {
+) -> (RunResult, Vec<Sample>) {
     let e = Experiment::quick();
     let mut sys = System::try_new(cfg.with_fast_forward(fast_forward), Generator::new(params))
         .expect("valid config");
     sys.set_workload_name(params.name);
-    sys.enable_trace(TRACE_CAP);
+    let log = SampleLog::default();
+    sys.set_event_sink(TraceLevel::Full, log.sink());
     sys.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = sys.try_run(e.instructions).expect("run");
-    let trace = sys.take_trace().expect("tracing was on");
-    (result, trace)
+    drop(sys.take_event_sink());
+    (result, log.take())
 }
 
 /// Cycles and energy: the depth-2 ladder reproduces the dual-FSM
@@ -89,7 +93,7 @@ fn depth_2_ladder_mode_trace_matches_dual_fsm() {
         );
         assert_eq!(
             dual_trace, ladder_trace,
-            "ModeTrace diverged (fast_forward = {fast_forward})"
+            "sample stream diverged (fast_forward = {fast_forward})"
         );
     }
 }

@@ -15,13 +15,14 @@
 //! memory-bound co-runners on one L2 really do contend (each core's
 //! window is no shorter than its solo run).
 
+mod samples;
+
+use samples::{Sample, SampleLog};
 use vsv::{
-    CounterId, Experiment, ModeTrace, MulticoreSystem, PolicySpec, RunResult, SimError, Sweep,
-    SweepReport, System, SystemConfig,
+    CounterId, Experiment, MulticoreSystem, PolicySpec, RunResult, SimError, Sweep, SweepReport,
+    System, SystemConfig, TraceLevel,
 };
 use vsv_workloads::{twin, Generator, TrafficSpec, WorkloadParams};
-
-const TRACE_CAP: usize = 1 << 16;
 
 /// Memory-bound and compute-bound twins, the mix the policy and
 /// ladder equivalence suites pin on.
@@ -39,32 +40,31 @@ fn every_policy_at_depth(depth: usize) -> Vec<SystemConfig> {
         .collect()
 }
 
-/// Plain single-core reference, trace on.
-fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace) {
+/// Plain single-core reference, with a full-level sample log attached
+/// from construction: the result plus the whole sample stream.
+fn run_plain(params: WorkloadParams, cfg: SystemConfig) -> (RunResult, Vec<Sample>) {
     let e = Experiment::quick();
     let mut sys = System::try_new(cfg, Generator::new(params)).expect("valid config");
     sys.set_workload_name(params.name);
-    sys.enable_trace(TRACE_CAP);
+    let log = SampleLog::default();
+    sys.set_event_sink(TraceLevel::Full, log.sink());
     sys.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = sys.try_run(e.instructions).expect("run");
-    let trace = sys.take_trace().expect("tracing was on");
-    (result, trace)
+    drop(sys.take_event_sink());
+    (result, log.take())
 }
 
 /// The same run through a one-domain chip.
-fn run_chip_of_1(params: &WorkloadParams, cfg: SystemConfig) -> (RunResult, ModeTrace) {
+fn run_chip_of_1(params: &WorkloadParams, cfg: SystemConfig) -> (RunResult, Vec<Sample>) {
     let e = Experiment::quick();
     let mut chip =
         MulticoreSystem::try_new(cfg.with_cores(1), params).expect("valid one-core config");
-    chip.enable_traces(TRACE_CAP);
+    let log = SampleLog::default();
+    chip.set_event_sink(0, TraceLevel::Full, log.sink());
     chip.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = chip.try_run(e.instructions).expect("run");
-    let trace = chip
-        .take_traces()
-        .pop()
-        .flatten()
-        .expect("tracing was on for core 0");
-    (result, trace)
+    assert!(chip.take_event_sink(0).is_some(), "core 0 was traced");
+    (result, log.take())
 }
 
 /// Strips the two fields that differ *by construction* at N = 1: the
@@ -112,7 +112,7 @@ fn assert_one_core_chips_match(configs: &[SystemConfig]) -> Vec<RunResult> {
             );
             assert_eq!(
                 chip_trace, plain_trace,
-                "per-nanosecond mode trace diverged on {cell}"
+                "per-nanosecond sample stream diverged on {cell}"
             );
             results.push(plain);
         }

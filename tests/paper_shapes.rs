@@ -324,20 +324,35 @@ fn issue_histogram_is_consistent_with_counters() -> Result<(), SimError> {
 /// every transition state present.
 #[test]
 fn trace_renders_to_timeline_svg() -> Result<(), SimError> {
-    use vsv::{Mode, System};
+    use vsv::{CaptureSink, EventBuf, Mode, System, TraceEvent, TraceLevel};
     use vsv_workloads::Generator;
 
     let params = twin("ammp").expect("ammp exists");
     let mut sys = System::try_new(SystemConfig::vsv_with_fsms(), Generator::new(params))?;
-    sys.enable_trace(3_000);
+    let buf = EventBuf::default();
+    sys.set_event_sink(TraceLevel::Full, Box::new(CaptureSink::new(buf.clone())));
     sys.try_warm_up(20_000)?;
     sys.try_run(20_000)?;
-    let trace = sys.take_trace().expect("tracing on");
-    let modes: std::collections::HashSet<Mode> = trace.iter().map(|s| s.mode).collect();
+    drop(sys.take_event_sink());
+    // The last 3000 ns of the run.
+    let mut samples = buf.take();
+    samples.retain(|e| matches!(e, TraceEvent::Sample { .. }));
+    let samples = &samples[samples.len().saturating_sub(3_000)..];
+    let modes: Vec<Mode> = samples
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Sample { mode, .. } => Some(*mode),
+            _ => None,
+        })
+        .collect();
     for m in [Mode::High, Mode::DownDistribute, Mode::RampDown, Mode::Low] {
-        assert!(modes.contains(&m), "missing {m:?} in {}", trace.strip());
+        assert!(
+            modes.contains(&m),
+            "missing {m:?} in {}",
+            modes.iter().map(|m| m.strip_char()).collect::<String>()
+        );
     }
-    let svg = vsv_viz::TimelineChart::new(&trace).render();
+    let svg = vsv_viz::TimelineChart::new(samples).render();
     assert!(svg.contains("<polyline"), "voltage curve present");
     assert!(svg.matches("<rect").count() > 4, "mode bands present");
     Ok(())

@@ -17,10 +17,11 @@
 //!   ramp energy plus the level-converter tax on a still-busy
 //!   pipeline).
 
-use vsv::{Comparison, Experiment, ModeTrace, PolicySpec, RunResult, System, SystemConfig};
-use vsv_workloads::{twin, AccessPattern, Generator, WorkloadParams};
+mod samples;
 
-const TRACE_CAP: usize = 1 << 16;
+use samples::{Sample, SampleLog};
+use vsv::{Comparison, Experiment, PolicySpec, RunResult, System, SystemConfig, TraceLevel};
+use vsv_workloads::{twin, AccessPattern, Generator, WorkloadParams};
 
 /// Twins spanning memory-bound (mcf, art, ammp) to compute-bound
 /// (gzip, mesa) behaviour.
@@ -52,21 +53,24 @@ fn run(params: &WorkloadParams, cfg: SystemConfig) -> RunResult {
         .0
 }
 
-/// Runs with tracing on and the given fast-forward setting.
+/// Runs with a full-level sample log attached from construction and
+/// the given fast-forward setting: the result plus the whole run's
+/// sample stream (warm-up included).
 fn run_traced(
     params: WorkloadParams,
     cfg: SystemConfig,
     fast_forward: bool,
-) -> (RunResult, ModeTrace) {
+) -> (RunResult, Vec<Sample>) {
     let e = Experiment::quick();
     let mut sys = System::try_new(cfg.with_fast_forward(fast_forward), Generator::new(params))
         .expect("valid config");
     sys.set_workload_name(params.name);
-    sys.enable_trace(TRACE_CAP);
+    let log = SampleLog::default();
+    sys.set_event_sink(TraceLevel::Full, log.sink());
     sys.try_warm_up(e.warmup_instructions).expect("warm-up");
     let result = sys.try_run(e.instructions).expect("run");
-    let trace = sys.take_trace().expect("tracing was on");
-    (result, trace)
+    drop(sys.take_event_sink());
+    (result, log.take())
 }
 
 fn savings_pct(base: &RunResult, run: &RunResult) -> f64 {
@@ -129,7 +133,7 @@ fn every_policy_is_fast_forward_exact() {
             assert_eq!(
                 trace_on,
                 trace_off,
-                "ModeTrace diverged with fast-forward for {} under {}",
+                "sample stream diverged with fast-forward for {} under {}",
                 params.name,
                 spec.name()
             );
